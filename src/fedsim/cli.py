@@ -11,6 +11,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -21,7 +22,7 @@ from .config import (
     build_plan,
     deep_merge,
     load_config_file,
-    validate_config,
+    validate_config,  # noqa: F401  (bench/spans.py traces fedsim.cli.validate_config)
 )
 from .orchestrator import (
     PlanValidationError,
@@ -65,13 +66,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> dict:
-    cfg = load_config_file(args.config)
-    cfg = validate_config(cfg)
+def _load(args: argparse.Namespace) -> RunConfig:
+    """Validate and build the config file once, then apply --seed and --format."""
+    rc = build_plan(load_config_file(args.config), base_dir=Path(args.config).parent)
+    echo, plan, formats = dict(rc.echo), rc.plan, rc.report_formats
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigValidationError("--seed must be >= 0")
-        cfg["seed"] = args.seed
+        # The top-level seed keys only the run's randomness, never the data.
+        echo["seed"] = args.seed
+        plan = replace(plan, seed=args.seed)
     if args.format:
         formats = [f.strip() for f in args.format.split(",") if f.strip()]
         for fmt in formats:
@@ -79,8 +83,9 @@ def _load(args: argparse.Namespace) -> dict:
                 raise ConfigValidationError(f"--format: unknown format {fmt!r}")
         if not formats:
             raise ConfigValidationError("--format: expected a subset of csv,json")
-        cfg["report_formats"] = formats
-    return cfg
+        echo["report_formats"] = formats
+        formats = tuple(formats)
+    return replace(rc, plan=plan, report_formats=formats, echo=echo)
 
 
 def _resolve_out(args: argparse.Namespace, rc: RunConfig) -> Path:
@@ -96,16 +101,8 @@ def _resolve_out(args: argparse.Namespace, rc: RunConfig) -> Path:
     )
 
 
-def _echo_with_overrides(rc: RunConfig, out_dir: Path) -> dict:
-    echo = dict(rc.echo)
-    echo["report_formats"] = list(rc.report_formats)
-    echo["output_dir"] = str(out_dir)
-    return echo
-
-
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    rc = build_plan(cfg, base_dir=Path(args.config).parent)
+    rc = _load(args)
     out_dir = _resolve_out(args, rc)
     try:
         report = run(rc.plan)
@@ -118,7 +115,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         out_dir,
         formats=rc.report_formats,
         roc_rounds=rc.roc_rounds,
-        config_echo=_echo_with_overrides(rc, out_dir),
+        config_echo={**rc.echo, "output_dir": str(out_dir)},
         centralized_epoch_time_s=rc.centralized_epoch_time_s,
     )
     s = report.summary
@@ -131,8 +128,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    rc = build_plan(cfg, base_dir=Path(args.config).parent)
+    rc = _load(args)
     validate_plan(rc.plan)
     plan = rc.plan
     print("config ok")
@@ -212,9 +208,9 @@ def _derive_sweep_config(cfg: dict, variable: str, value, index: int) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = _load(args)
+    base_rc = _load(args)
+    cfg = base_rc.echo
     values = _parse_sweep_values(args.variable, args.values)
-    base_rc = build_plan(cfg, base_dir=Path(args.config).parent)
     sweep_root = _resolve_out(args, base_rc) / f"sweep_{args.variable.replace('_', '-')}"
     rows = []
     for index, value in enumerate(values):
@@ -233,7 +229,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             run_dir,
             formats=rc.report_formats,
             roc_rounds=rc.roc_rounds,
-            config_echo=_echo_with_overrides(rc, run_dir),
+            config_echo={**rc.echo, "output_dir": str(run_dir)},
             centralized_epoch_time_s=rc.centralized_epoch_time_s,
         )
         s = report.summary

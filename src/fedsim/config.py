@@ -311,8 +311,9 @@ def validate_config(raw: dict) -> dict:
         raise ConfigValidationError("report_formats: at least one format is required")
 
     cfg.setdefault("roc_rounds", [])
-    for r in cfg["roc_rounds"]:
-        if not isinstance(r, int) or r < 1 or r > cfg["rounds"]:
+    for i, r in enumerate(cfg["roc_rounds"]):
+        _check_type(r, int, f"roc_rounds[{i}]")
+        if r < 1 or r > cfg["rounds"]:
             raise ConfigValidationError(f"roc_rounds: round {r!r} outside 1..{cfg['rounds']}")
 
     if "centralized_epoch_time_s" in cfg:
@@ -327,15 +328,19 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-def _materialize_source(obj: dict, base_dir: Path) -> Dataset:
-    if obj["type"] == "synthetic":
-        return make_synthetic(
-            obj["class_means"],
-            obj.get("cov_scale", 1.0),
-            tuple(obj["n_per_class"]),
-            obj["seed"],
-        )
-    return read_dataset_csv((base_dir / obj["path"]).resolve())
+def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
+    try:
+        if obj["type"] == "synthetic":
+            return make_synthetic(
+                obj["class_means"],
+                obj.get("cov_scale", 1.0),
+                tuple(obj["n_per_class"]),
+                obj["seed"],
+            )
+        return read_dataset_csv((base_dir / obj["path"]).resolve())
+    except (OSError, ValueError) as exc:
+        where = f"{path}.path" if obj["type"] == "csv" else path
+        raise ConfigValidationError(f"{where}: {exc}") from exc
 
 
 def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -346,8 +351,8 @@ def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset
     return master.subset(order[n_test:]), master.subset(order[:n_test])
 
 
-def _shard_for_join(ev: dict, base_dir: Path) -> ClientShard:
-    data = _materialize_source(ev["data"]["source"], base_dir)
+def _shard_for_join(ev: dict, base_dir: Path, index: int) -> ClientShard:
+    data = _materialize_source(ev["data"]["source"], base_dir, f"events[{index}].data.source")
     plan = PartitionPlan(
         "random-uniform", 1, train_fraction=ev["data"]["train_fraction"], seed=ev["data"]["seed"]
     )
@@ -371,12 +376,12 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
         learning_rate=cfg["train"]["learning_rate"],
     )
 
-    master = _materialize_source(cfg["data"]["source"], base_dir)
+    master = _materialize_source(cfg["data"]["source"], base_dir, "data.source")
     gt_cfg = cfg["data"]["global_test"]
     if gt_cfg["type"] == "holdout":
         master, global_test = _holdout_split(master, gt_cfg["fraction"], gt_cfg["seed"])
     else:
-        global_test = _materialize_source(gt_cfg, base_dir)
+        global_test = _materialize_source(gt_cfg, base_dir, "data.global_test")
 
     part_cfg = cfg["data"]["partition"]
     n_clients = len(cfg["clients"])
@@ -407,7 +412,7 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
     )
 
     events = []
-    for ev in cfg["events"]:
+    for i, ev in enumerate(cfg["events"]):
         if ev["kind"] == "leave":
             events.append(IntermittencyEvent.leave(ev["round"], ev["client"]))
         elif ev["kind"] == "delay":
@@ -420,7 +425,7 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
         else:
             events.append(
                 IntermittencyEvent.join(
-                    ev["round"], ev["client"], _shard_for_join(ev, base_dir), ev["epoch_time_s"]
+                    ev["round"], ev["client"], _shard_for_join(ev, base_dir, i), ev["epoch_time_s"]
                 )
             )
 

@@ -3,17 +3,21 @@
 Two model kinds are supported: plain logistic regression and a
 one-hidden-layer MLP with a sigmoid output unit.  Parameters travel as
 a flat float64 vector plus layer-shape metadata so the federation
-machinery can exchange and average them coordinate-wise.  Everything
-here is a pure function: training returns new parameters and never
-mutates its inputs, and all randomness comes from explicitly seeded
-PCG64 streams, so a given (spec, params, data, config) tuple always
-reproduces the same bits on one platform.
+machinery can exchange and average them coordinate-wise.  Each kind has
+one forward/backward kernel that works on the raw vector; ``ParameterSet``
+is validated where parameters cross this module's boundary.  So
+``train_local`` checks its parameters on entry and on exit, not at every
+step, and a run that diverges still raises ``ValueError("parameter values
+must be finite")``.  Everything here is a pure function: training returns
+new parameters and never mutates its inputs, and all randomness comes
+from explicitly seeded PCG64 streams, so a given (spec, params, data,
+config) tuple always reproduces the same bits on one platform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,15 +37,15 @@ _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
 
 LayerShapes = tuple[tuple[str, tuple[int, ...]], ...]
+_Out = tuple[np.ndarray, np.ndarray | None]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp() sees only -|z| (as min(z, -z), which keeps a NaN's sign), so it cannot
+    # overflow, and each branch gets the exp() argument a split by sign gives it.
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 @dataclass(frozen=True)
@@ -58,20 +62,8 @@ class ParameterSet:
     shapes: LayerShapes
 
     def __post_init__(self) -> None:
-        values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.ndim != 1:
-            raise ValueError(f"parameter values must be 1-D, got shape {values.shape}")
         shapes = tuple((str(n), tuple(int(d) for d in dims)) for n, dims in self.shapes)
-        expected = sum(math.prod(dims) for _, dims in shapes)
-        if expected != values.size:
-            raise ValueError(
-                f"layer shapes describe {expected} entries but vector has {values.size}"
-            )
-        if not np.all(np.isfinite(values)):
-            raise ValueError("parameter values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "shapes", shapes)
+        _adopt(np.array(self.values, dtype=np.float64, copy=True), shapes, into=self)
 
     @property
     def size(self) -> int:
@@ -89,7 +81,27 @@ class ParameterSet:
 
     def with_values(self, values: np.ndarray) -> "ParameterSet":
         """New ParameterSet with the same layout and different entries."""
-        return ParameterSet(values, self.shapes)
+        return _adopt(np.array(values, dtype=np.float64, copy=True), self.shapes)
+
+
+def _adopt(values: np.ndarray, shapes: LayerShapes, check: bool = True, into=None) -> ParameterSet:
+    """Freeze ``values`` (float64, normalised ``shapes``) into ``into`` or a new
+    ParameterSet, without a copy.  ``check=False`` skips validation; only
+    ``train_local`` passes it, for its own working vector, checked on exit.
+    """
+    ps = object.__new__(ParameterSet) if into is None else into
+    if check:
+        if values.ndim != 1:
+            raise ValueError(f"parameter values must be 1-D, got shape {values.shape}")
+        n = sum(math.prod(dims) for _, dims in shapes)
+        if n != values.size:
+            raise ValueError(f"layer shapes describe {n} entries but vector has {values.size}")
+        if not np.isfinite(values).all():
+            raise ValueError("parameter values must be finite")
+    values.setflags(write=False)
+    object.__setattr__(ps, "values", values)
+    object.__setattr__(ps, "shapes", shapes)
+    return ps
 
 
 @dataclass(frozen=True)
@@ -251,27 +263,40 @@ def _check_params(spec: ModelSpec, params: ParameterSet) -> None:
         raise ValueError("parameter layout does not match the model spec")
 
 
-def _forward_parts(
-    spec: ModelSpec, params: ParameterSet, X: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    layers = params.layers()
-    if spec.kind == LOGISTIC:
-        z = X @ layers["output_kernel"] + layers["output_bias"][0]
-        return _sigmoid(z), {}
-    z1 = X @ layers["hidden_kernel"] + layers["hidden_bias"]
-    if spec.activation == "relu":
-        h = np.maximum(z1, 0.0)
-    else:
-        h = _sigmoid(z1)
-    z2 = h @ layers["output_kernel"] + layers["output_bias"][0]
-    return _sigmoid(z2), {"z1": z1, "h": h}
+# One kernel per model kind, on the raw vector ``v``: it returns the sigmoid
+# outputs for ``X`` and, given float64 labels ``y``, the gradient of the mean
+# cross-entropy as a new vector in layout order.
+def _logistic(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> _Out:
+    p = _sigmoid(X @ v[:-1] + v[-1])
+    if y is None:
+        return p, None
+    dz = (p - y) / y.size  # d(mean BCE)/d(logit) through the sigmoid output
+    return p, np.concatenate([X.T @ dz, [dz.sum()]])
+
+
+def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> _Out:
+    d, h = spec.input_dim, spec.hidden_dim
+    w2 = v[d * h + h : -1]
+    z1 = X @ v[: d * h].reshape(d, h) + v[d * h : d * h + h]
+    relu = spec.activation == "relu"
+    a = np.maximum(z1, 0.0) if relu else _sigmoid(z1)
+    p = _sigmoid(a @ w2 + v[-1])
+    if y is None:
+        return p, None
+    dz = (p - y) / y.size
+    dh = dz[:, None] * w2[None, :]
+    dz1 = dh * (z1 > 0.0) if relu else dh * a * (1.0 - a)
+    return p, np.concatenate([(X.T @ dz1).ravel(), dz1.sum(axis=0), a.T @ dz, [dz.sum()]])
+
+
+_KERNELS = {LOGISTIC: _logistic, MLP: _mlp}
 
 
 def forward(spec: ModelSpec, params: ParameterSet, features: np.ndarray) -> np.ndarray:
     """Per-row probability of the positive class, strictly inside (0, 1)."""
     X = _check_features(spec, features)
     _check_params(spec, params)
-    p, _ = _forward_parts(spec, params, X)
+    p, _ = _KERNELS[spec.kind](spec, params.values, X)
     return np.clip(p, _P_LO, _P_HI)
 
 
@@ -280,15 +305,13 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if y.size == 0:
         raise ValueError("empty batch")
-    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    p = np.minimum(np.maximum(np.asarray(probs, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
+    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    return float(-(np.add.reduce(terms, axis=None) / terms.size))
 
 
 def loss_and_grad(
-    spec: ModelSpec,
-    params: ParameterSet,
-    features: np.ndarray,
-    labels: np.ndarray,
+    spec: ModelSpec, params: ParameterSet, features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, ParameterSet]:
     """Batch cross-entropy and its analytic gradient in the params layout."""
     X = _check_features(spec, features)
@@ -298,35 +321,12 @@ def loss_and_grad(
         raise ValueError("features and labels must agree in length")
     if y.size == 0:
         raise ValueError("empty batch")
-    n = y.size
-    layers = params.layers()
-    p, cache = _forward_parts(spec, params, X)
-    loss = bce_loss(p, y)
-    dz = (p - y) / n  # d(mean BCE)/d(logit) through the sigmoid output
-    if spec.kind == LOGISTIC:
-        grad = np.concatenate([X.T @ dz, [dz.sum()]])
-        return loss, params.with_values(grad)
-    w2 = layers["output_kernel"]
-    h, z1 = cache["h"], cache["z1"]
-    dw2 = h.T @ dz
-    db2 = dz.sum()
-    dh = dz[:, None] * w2[None, :]
-    if spec.activation == "relu":
-        dz1 = dh * (z1 > 0.0)
-    else:
-        s = _sigmoid(z1)
-        dz1 = dh * s * (1.0 - s)
-    dw1 = X.T @ dz1
-    db1 = dz1.sum(axis=0)
-    grad = np.concatenate([dw1.ravel(), db1, dw2, [db2]])
-    return loss, params.with_values(grad)
+    p, grad = _KERNELS[spec.kind](spec, params.values, X, y)
+    return bce_loss(p, y), _adopt(grad, params.shapes)
 
 
 def train_local(
-    spec: ModelSpec,
-    params: ParameterSet,
-    dataset: Dataset,
-    cfg: TrainConfig,
+    spec: ModelSpec, params: ParameterSet, dataset: Dataset, cfg: TrainConfig
 ) -> tuple[ParameterSet, int]:
     """Plain mini-batch SGD for ``cfg.epochs`` passes over ``dataset``.
 
@@ -334,6 +334,8 @@ def train_local(
     keyed by (cfg.seed, epoch index); batches are consecutive slices of
     that order and the last batch may be short.  Returns the new
     parameters and the number of epochs run; the inputs are untouched.
+    Parameters are validated on entry and on exit, not between steps; a
+    run that diverges raises ``ValueError("parameter values must be finite")``.
     """
     _check_params(spec, params)
     if dataset.n == 0:
@@ -344,18 +346,14 @@ def train_local(
         )
     if cfg.epochs == 0:
         return params, 0
-    current = params
+    shapes, n, bs, lr = params.shapes, dataset.n, cfg.batch_size, cfg.learning_rate
     values = params.values
     for epoch in range(cfg.epochs):
-        order = rng_from(cfg.seed, epoch).permutation(dataset.n)
-        for start in range(0, dataset.n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            _, grad = loss_and_grad(spec, current, dataset.features[idx], dataset.labels[idx])
-            values = values - cfg.learning_rate * grad.values
-            current = params.with_values(values)
-    return current, cfg.epochs
-
-
-def replace_seed(cfg: TrainConfig, seed: int) -> TrainConfig:
-    """Copy of ``cfg`` with a different shuffle seed."""
-    return replace(cfg, seed=seed)
+        order = rng_from(cfg.seed, epoch).permutation(n)
+        X = dataset.features[order]
+        y = dataset.labels[order].astype(np.float64)
+        for start in range(0, n, bs):
+            step = _adopt(values, shapes, check=False)
+            _, grad = loss_and_grad(spec, step, X[start : start + bs], y[start : start + bs])
+            values = values - lr * grad.values
+    return _adopt(values, shapes), cfg.epochs

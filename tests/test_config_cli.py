@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim.cli import main
 from fedsim.config import (
     ConfigParseError,
@@ -422,3 +427,26 @@ def test_cli_sweep_value_parsing(tmp_path):
                  "--variable", "N_r", "--values", "two"]) == 3
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"),
                  "--variable", "policy", "--values", "drop-history"]) == 3
+
+
+def test_cli_rejects_boolean_roc_rounds(tmp_path, capsys):
+    cfg = _base_cfg()
+    cfg["roc_rounds"] = [2, True]
+    code = main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "roc_rounds[1]" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_missing_csv_source_is_a_validation_error(tmp_path):
+    cfg = _base_cfg()
+    cfg["data"]["source"] = {"type": "csv", "path": "absent.csv"}
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", "run", "--config", _write(tmp_path, cfg),
+         "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert "data.source.path" in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -10,6 +10,7 @@ from fedsim.models import (
     ModelSpec,
     ParameterSet,
     TrainConfig,
+    _sigmoid,
     bce_loss,
     forward,
     init_params,
@@ -19,7 +20,13 @@ from fedsim.models import (
 from fedsim.partition import make_synthetic
 from fedsim.seeding import rng_from
 
-from _oracles import fd_gradient, logistic_sgd_reference
+from _oracles import (
+    clipped_bce_reference,
+    fd_gradient,
+    logistic_sgd_reference,
+    masked_sigmoid,
+    sgd_step_loop_reference,
+)
 
 LR3 = ModelSpec(LOGISTIC, input_dim=3)
 MLP23 = ModelSpec(MLP, input_dim=2, hidden_dim=3)
@@ -232,3 +239,57 @@ def test_dataset_validation():
     sub = ds.subset(np.array([2, 0]))
     assert sub.ids.tolist() == [2, 0]
     assert sub.features[0, 0] == 4.0
+
+
+def _oracle_case(spec, n, seed):
+    rng = rng_from(seed, 1)
+    X = rng.standard_normal((n, spec.input_dim))
+    y = rng.integers(0, 2, size=n)
+    return init_params(spec, seed), Dataset(X, y, np.arange(n))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LR3, MLP23, ModelSpec(MLP, input_dim=2, hidden_dim=3, activation="sigmoid")],
+    ids=["logistic", "mlp-relu", "mlp-sigmoid"],
+)
+@pytest.mark.parametrize("epochs", [0, 1, 2, 3])
+def test_train_local_is_bitwise_the_checked_step_loop(spec, epochs):
+    # (n, batch_size, learning_rate): a short last batch, one batch larger
+    # than the data, and a zero learning rate.
+    for n, batch_size, lr in [(23, 5, 0.4), (10, 16, 0.7), (12, 4, 0.0)]:
+        params, ds = _oracle_case(spec, n, seed=epochs + n)
+        before = params.values.copy()
+        cfg = TrainConfig(epochs, batch_size, lr, seed=3)
+        got, ran = train_local(spec, params, ds, cfg)
+        want = sgd_step_loop_reference(
+            before, ds.features, ds.labels, cfg.seed, epochs, batch_size, lr,
+            hidden=spec.hidden_dim, activation=spec.activation,
+        )
+        assert ran == epochs
+        assert got.values.tobytes() == want.tobytes()
+        assert got.shapes == spec.layer_shapes
+        assert params.values.tobytes() == before.tobytes()
+        assert not params.values.flags.writeable
+
+
+def test_train_local_divergence_still_raises():
+    params, ds = _oracle_case(MLP23, 23, seed=5)
+    cfg = TrainConfig(3, 5, 1e300, seed=3)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="parameter values must be finite"):
+            sgd_step_loop_reference(params.values, ds.features, ds.labels, cfg.seed, 3, 5,
+                                    1e300, hidden=3)
+        with pytest.raises(ValueError, match="parameter values must be finite"):
+            train_local(MLP23, params, ds, cfg)
+
+
+def test_sigmoid_and_bce_keep_the_reference_bits():
+    z = np.concatenate([
+        [0.0, -0.0, np.nan, np.inf, -np.inf, 709.0, -709.0, 745.5, -745.5, 1e-300, -1e-300],
+        rng_from(8).standard_normal(200) * 30.0,
+    ])
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+    probs = np.concatenate([[0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.5], rng_from(9).random(50)])
+    labels = rng_from(10).integers(0, 2, size=probs.size)
+    assert bce_loss(probs, labels) == clipped_bce_reference(probs, labels)
