@@ -1,7 +1,9 @@
 """Command-line front end: run, sweep, validate.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 policy starvation at runtime.  The output directory resolves in the
+4 policy starvation at runtime, 5 a client's training diverged (non-finite
+parameters).  Runs that stop with 4 or 5 still write the completed rounds
+to rounds.csv and events.log.  The output directory resolves in the
 order --out flag, config output_dir, FEDSIM_OUT environment variable.
 """
 
@@ -15,6 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import (
+    REPORT_FORMATS,
     SWEEP_VARIABLES,
     ConfigParseError,
     ConfigValidationError,
@@ -27,6 +30,8 @@ from .config import (
 from .orchestrator import (
     PlanValidationError,
     PolicyStarvationError,
+    RunAborted,
+    RunReport,
     run,
     static_sim_time,
     sweep_seed,
@@ -43,6 +48,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_STARVATION = 4
+EXIT_DIVERGED = 5
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -79,10 +85,10 @@ def _load(args: argparse.Namespace) -> RunConfig:
     if args.format:
         formats = [f.strip() for f in args.format.split(",") if f.strip()]
         for fmt in formats:
-            if fmt not in ("csv", "json"):
+            if fmt not in REPORT_FORMATS:
                 raise ConfigValidationError(f"--format: unknown format {fmt!r}")
         if not formats:
-            raise ConfigValidationError("--format: expected a subset of csv,json")
+            raise ConfigValidationError(f"--format: expected a subset of {','.join(REPORT_FORMATS)}")
         echo["report_formats"] = formats
         formats = tuple(formats)
     return replace(rc, plan=plan, report_formats=formats, echo=echo)
@@ -101,15 +107,15 @@ def _resolve_out(args: argparse.Namespace, rc: RunConfig) -> Path:
     )
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    rc = _load(args)
-    out_dir = _resolve_out(args, rc)
+def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport | int:
+    """Run the plan and write its outputs.  A starved or diverged run writes
+    only its completed rounds and yields its exit code instead of a report."""
     try:
         report = run(rc.plan)
-    except PolicyStarvationError as exc:
+    except RunAborted as exc:
         write_partial_outputs(exc.completed, exc.audit_log, out_dir)
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_STARVATION
+        print(f"error: {label}{exc}", file=sys.stderr)
+        return EXIT_STARVATION if isinstance(exc, PolicyStarvationError) else EXIT_DIVERGED
     write_run_outputs(
         report,
         out_dir,
@@ -118,6 +124,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         config_echo={**rc.echo, "output_dir": str(out_dir)},
         centralized_epoch_time_s=rc.centralized_epoch_time_s,
     )
+    return report
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    rc = _load(args)
+    out_dir = _resolve_out(args, rc)
+    report = _run_and_write(rc, out_dir)
+    if isinstance(report, int):
+        return report
     s = report.summary
     print(f"completed {s.rounds_completed} rounds in {s.total_sim_time_s!r} simulated seconds")
     print(
@@ -218,20 +233,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         derived_cfg = _derive_sweep_config(cfg, args.variable, value, index)
         rc = build_plan(derived_cfg, base_dir=Path(args.config).parent)
         run_dir = sweep_root / f"{args.variable}={label}"
-        try:
-            report = run(rc.plan)
-        except PolicyStarvationError as exc:
-            write_partial_outputs(exc.completed, exc.audit_log, run_dir)
-            print(f"error: {args.variable}={label}: {exc}", file=sys.stderr)
-            return EXIT_STARVATION
-        write_run_outputs(
-            report,
-            run_dir,
-            formats=rc.report_formats,
-            roc_rounds=rc.roc_rounds,
-            config_echo={**rc.echo, "output_dir": str(run_dir)},
-            centralized_epoch_time_s=rc.centralized_epoch_time_s,
-        )
+        report = _run_and_write(rc, run_dir, f"{args.variable}={label}: ")
+        if isinstance(report, int):
+            return report
         s = report.summary
         row = {
             "variable": args.variable,

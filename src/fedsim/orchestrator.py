@@ -16,15 +16,21 @@ Event timing:
   aggregation with its original sample count, aging one round at a time.
 * ``join`` at round r: the client is active from round r and first
   trains on that round's broadcast.
-* ``delay`` at round r with resume s > r: the client trains from the
-  round-r broadcast but misses the collection deadline, so its fresh
-  update only arrives at round s.  Under ``use-stale-accept-any`` the
-  server re-uses the client's last delivered update during rounds r..s-1
-  and accepts the late one at round s; under ``exclude-until-current``
-  the client is simply absent during r..s-1, the late update is
-  discarded, and (by default) the client retrains fresh within round s.
+* ``delay`` at round r with resume s, r < s <= n_rounds: the client
+  trains from the round-r broadcast but misses the collection deadline,
+  so its fresh update only arrives at round s.  Under
+  ``use-stale-accept-any`` the server re-uses the client's last delivered
+  update during rounds r..s-1 and accepts the late one at round s; under
+  ``exclude-until-current`` the client is absent during r..s-1, its late
+  update is never computed (the audit log still lists it as held back and
+  discarded), and by default the client retrains fresh within round s.
   Set ``PolicyConfig.delay_resume_same_round`` to False to push that
   first fresh round to s+1 instead.
+
+``validate_plan`` compiles the script into a ``Timeline`` that ``run``
+follows with one decision per (phase, delay policy).  Local training that
+turns non-finite raises ``DivergenceError``, which carries the completed
+rounds and the audit log, as ``PolicyStarvationError`` does.
 
 The clock charges each round ``epochs`` times the slowest client that
 trained fresh for that round's aggregation; clients whose updates are
@@ -90,20 +96,34 @@ class PlanValidationError(ValueError):
     """The plan or its event script is inconsistent."""
 
 
-class PolicyStarvationError(RuntimeError):
-    """The policy left a round with no eligible participants.
+class RunAborted(RuntimeError):
+    """A run stopped before its last round; carries the rounds completed
+    before ``round_index`` and the audit log so far, so callers can persist them."""
 
-    Carries the rounds completed before the starved one so callers can
-    still persist the partial trajectory.
-    """
-
-    def __init__(self, round_index: int, completed: list["RoundRecord"], audit_log: list[str]):
-        super().__init__(
-            f"no eligible participants in round {round_index}; the policy excluded everyone"
-        )
+    def __init__(self, message: str, round_index: int, completed: list["RoundRecord"],
+                 audit_log: list[str]):
+        super().__init__(message)
         self.round_index = round_index
         self.completed = completed
         self.audit_log = audit_log
+
+
+class PolicyStarvationError(RunAborted):
+    """The policy left a round with no eligible participants."""
+
+    def __init__(self, round_index: int, completed: list["RoundRecord"], audit_log: list[str]):
+        message = f"no eligible participants in round {round_index}; the policy excluded everyone"
+        super().__init__(message, round_index, completed, audit_log)
+
+
+class DivergenceError(RunAborted):
+    """A client's local training produced non-finite parameters."""
+
+    def __init__(self, client_id: int, round_index: int, completed: list["RoundRecord"],
+                 audit_log: list[str]):
+        super().__init__(f"client {client_id} diverged in round {round_index}: local training "
+                         "produced non-finite parameters", round_index, completed, audit_log)
+        self.client_id = client_id
 
 
 @dataclass(frozen=True)
@@ -210,7 +230,6 @@ class ClientState:
     epoch_time_s: float
     status: str = "active"  # "active" | "departed"
     last_update: Update | None = None
-    join_round: int = 1
 
 
 @dataclass(frozen=True)
@@ -291,8 +310,19 @@ def simulated_time(n_epochs: int, per_round_fresh_times: Sequence[Sequence[float
     return math.fsum(n_epochs * max(ts) if len(ts) else 0.0 for ts in per_round_fresh_times)
 
 
-def validate_plan(plan: SimPlan) -> None:
-    """Check the plan and statically verify the event script round by round."""
+@dataclass(frozen=True)
+class Timeline:
+    """The event script compiled by ``validate_plan``: each round's joins and
+    leaves in the order they apply, and (client, round) -> "start" | "mid" |
+    "resume" for every round of each closed delay window."""
+
+    joins: dict[int, list[IntermittencyEvent]] = field(default_factory=dict)
+    leaves: dict[int, list[IntermittencyEvent]] = field(default_factory=dict)
+    phases: dict[tuple[int, int], str] = field(default_factory=dict)
+
+
+def validate_plan(plan: SimPlan) -> Timeline:
+    """Check the plan and compile its event script, round by round, into a Timeline."""
     errors: list[str] = []
     if plan.n_rounds < 1:
         errors.append("n_rounds must be >= 1")
@@ -316,10 +346,10 @@ def validate_plan(plan: SimPlan) -> None:
         if c.shard.train.feature_dim != plan.model.input_dim:
             errors.append(f"client {c.client_id}: shard width does not match model input_dim")
 
-    # Static walk of the event script.
     known = set(ids)
     active = set(ids)
-    delay_windows: dict[int, list[tuple[int, int]]] = {}
+    timeline = Timeline()
+    phases = timeline.phases
     by_round: dict[int, list[IntermittencyEvent]] = {}
     for ev in plan.events:
         by_round.setdefault(ev.round_index, []).append(ev)
@@ -339,7 +369,7 @@ def validate_plan(plan: SimPlan) -> None:
             touched.add(cid)
             # Delay windows are closed [start, resume]: no other event may
             # touch the client until its comeback round has played out.
-            in_delay = any(s <= r <= res for s, res in delay_windows.get(cid, ()))
+            in_delay = (cid, r) in phases
             if ev.kind == JOIN:
                 if cid in known:
                     errors.append(f"round {r}: join re-uses client id {cid}")
@@ -348,6 +378,7 @@ def validate_plan(plan: SimPlan) -> None:
                 else:
                     known.add(cid)
                     active.add(cid)
+                    timeline.joins.setdefault(r, []).append(ev)
             elif ev.kind == LEAVE:
                 if cid not in active:
                     errors.append(f"round {r}: leave targets inactive client {cid}")
@@ -355,122 +386,87 @@ def validate_plan(plan: SimPlan) -> None:
                     errors.append(f"round {r}: leave targets client {cid} during a delay window")
                 else:
                     active.discard(cid)
+                    timeline.leaves.setdefault(r, []).append(ev)
             else:  # DELAY
+                resume = int(ev.resume_round)
                 if cid not in active:
                     errors.append(f"round {r}: delay targets inactive client {cid}")
                 elif in_delay:
                     errors.append(f"round {r}: overlapping delays on client {cid}")
+                elif resume > plan.n_rounds:
+                    errors.append(
+                        f"round {r}: delay on client {cid} resumes at round {resume}, "
+                        f"after the last round {plan.n_rounds}"
+                    )
                 else:
-                    delay_windows.setdefault(cid, []).append((r, int(ev.resume_round)))
+                    phases[(cid, r)] = "start"
+                    phases.update(((cid, m), "mid") for m in range(r + 1, resume))
+                    phases[(cid, resume)] = "resume"
     if errors:
         raise PlanValidationError("; ".join(errors))
-
-
-def _train_update(
-    plan: SimPlan, state: ClientState, broadcast: ParameterSet, round_index: int
-) -> Update:
-    cfg = replace(plan.train, seed=train_seed(plan.seed, state.client_id, round_index))
-    new_params, _ = train_local(plan.model, broadcast, state.shard.train, cfg)
-    if plan.noise is not None and plan.noise.placement == "client":
-        new_params = add_uniform_noise(
-            new_params,
-            plan.noise.amplitude,
-            client_noise_seed(plan.seed, state.client_id, round_index),
-        )
-    return Update(state.client_id, new_params, state.shard.n_train, round_index)
+    return timeline
 
 
 def run(plan: SimPlan) -> RunReport:
     """Simulate the full round schedule; see the module docstring for semantics."""
-    validate_plan(plan)
+    timeline = validate_plan(plan)
+    stale_serving = plan.policy.delay == USE_STALE
     states: dict[int, ClientState] = {
         c.client_id: ClientState(c.client_id, c.shard, float(c.epoch_time_s))
         for c in plan.clients
     }
-    joins: dict[int, list[IntermittencyEvent]] = {}
-    leaves: dict[int, list[IntermittencyEvent]] = {}
-    windows: dict[int, list[tuple[int, int]]] = {}
-    for ev in plan.events:
-        if ev.kind == JOIN:
-            joins.setdefault(ev.round_index, []).append(ev)
-        elif ev.kind == LEAVE:
-            leaves.setdefault(ev.round_index, []).append(ev)
-        else:
-            windows.setdefault(ev.client_id, []).append((ev.round_index, int(ev.resume_round)))
-    for ws in windows.values():
-        ws.sort()
-
-    def delay_phase(cid: int, r: int) -> str:
-        # Windows never overlap (validated), so at most one matches r.
-        for start, resume in windows.get(cid, ()):
-            if r == start:
-                return "start"
-            if start < r < resume:
-                return "mid"
-            if r == resume:
-                return "resume"
-        return "none"
-
-    pending_late: dict[int, Update] = {}
+    held_back: dict[int, Update] = {}
     audit: list[str] = []
     records: list[RoundRecord] = []
     global_params = init_params(plan.model, init_seed(plan.seed))
 
+    def train(st: ClientState, r: int) -> Update:
+        cfg = replace(plan.train, seed=train_seed(plan.seed, st.client_id, r))
+        try:
+            params, _ = train_local(plan.model, global_params, st.shard.train, cfg)
+        except ValueError as exc:  # after validation, only a non-finite result
+            raise DivergenceError(st.client_id, r, records, audit) from exc
+        if plan.noise is not None and plan.noise.placement == "client":
+            noise_seed = client_noise_seed(plan.seed, st.client_id, r)
+            params = add_uniform_noise(params, plan.noise.amplitude, noise_seed)
+        return Update(st.client_id, params, st.shard.n_train, r)
+
     for r in range(1, plan.n_rounds + 1):
-        for ev in joins.get(r, ()):
-            states[ev.client_id] = ClientState(
-                ev.client_id, ev.shard, float(ev.epoch_time_s), join_round=r
-            )
+        for ev in timeline.joins.get(r, ()):
+            states[ev.client_id] = ClientState(ev.client_id, ev.shard, float(ev.epoch_time_s))
             audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}")
 
-        contributions: list[tuple[Update, Participation]] = []
+        updates: list[Update] = []
+        participants: list[Participation] = []
         fresh_times: list[float] = []
-
-        def contribute(update: Update, fresh: bool, r: int = r) -> None:
-            age = 0 if fresh else r - update.produced_round
-            contributions.append((update, Participation(update.client_id, fresh, age)))
-
         for cid in sorted(states):
             st = states[cid]
-            if st.status == "departed":
-                if plan.policy.departure == RETAIN_LAST and st.last_update is not None:
-                    contribute(st.last_update, fresh=False)
-                continue
-            phase = delay_phase(cid, r)
+            phase = "departed" if st.status == "departed" else timeline.phases.get((cid, r))
             if phase == "start":
-                pending_late[cid] = _train_update(plan, st, global_params, r)
+                if stale_serving:  # an excluded late update is never computed
+                    held_back[cid] = train(st, r)
                 audit.append(f"round {r} delay client={cid} update held back")
-                if plan.policy.delay == USE_STALE and st.last_update is not None:
-                    contribute(st.last_update, fresh=False)
-            elif phase == "mid":
-                if plan.policy.delay == USE_STALE and st.last_update is not None:
-                    contribute(st.last_update, fresh=False)
+            elif phase == "resume" and stale_serving:
+                st.last_update = held_back.pop(cid)
+                audit.append(f"round {r} late-delivery client={cid} accepted")
             elif phase == "resume":
-                late = pending_late.pop(cid, None)
-                if plan.policy.delay == USE_STALE:
-                    if late is not None:
-                        contribute(late, fresh=False)
-                        st.last_update = late
-                        audit.append(f"round {r} late-delivery client={cid} accepted")
-                else:
-                    if late is not None:
-                        audit.append(f"round {r} late-delivery client={cid} discarded")
-                    if plan.policy.delay_resume_same_round:
-                        update = _train_update(plan, st, global_params, r)
-                        st.last_update = update
-                        contribute(update, fresh=True)
-                        fresh_times.append(st.epoch_time_s)
-            else:
-                update = _train_update(plan, st, global_params, r)
-                st.last_update = update
-                contribute(update, fresh=True)
-                fresh_times.append(st.epoch_time_s)
+                audit.append(f"round {r} late-delivery client={cid} discarded")
 
-        if not contributions:
+            # Train fresh now, serve the last delivered update, or send nothing.
+            if phase is None or (
+                phase == "resume" and not stale_serving and plan.policy.delay_resume_same_round
+            ):
+                st.last_update = train(st, r)
+                updates.append(st.last_update)
+                participants.append(Participation(cid, True, 0))
+                fresh_times.append(st.epoch_time_s)
+            elif (phase == "departed" or stale_serving) and st.last_update is not None:
+                updates.append(st.last_update)
+                participants.append(Participation(cid, False, r - st.last_update.produced_round))
+
+        if not updates:
             raise PolicyStarvationError(r, records, audit)
 
-        updates = [u for u, _ in contributions]
-        participants = tuple(p for _, p in contributions)
         if plan.aggregator == "weighted":
             agg = weighted_fedavg(updates)
         else:
@@ -490,7 +486,7 @@ def run(plan: SimPlan) -> RunReport:
 
         global_metrics = evaluate(plan.model, global_params, plan.global_test)
 
-        for ev in leaves.get(r, ()):
+        for ev in timeline.leaves.get(r, ()):
             st = states[ev.client_id]
             st.status = "departed"
             if plan.policy.departure == DROP_HISTORY:
@@ -505,16 +501,15 @@ def run(plan: SimPlan) -> RunReport:
             loss, acc = loss_accuracy(plan.model, global_params, st.shard.test)
             client_metrics.append(ClientEval(cid, loss, acc, st.shard.test.n))
 
-        sim_time = plan.train.epochs * max(fresh_times) if fresh_times else 0.0
         records.append(
             RoundRecord(
                 round_index=r,
-                participants=participants,
+                participants=tuple(participants),
                 aggregate=agg,
                 global_params=global_params,
                 global_metrics=global_metrics,
                 client_metrics=tuple(client_metrics),
-                sim_time_s=sim_time,
+                sim_time_s=simulated_time(plan.train.epochs, [fresh_times]),
             )
         )
 

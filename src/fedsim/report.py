@@ -154,7 +154,7 @@ def write_run_outputs(
 def write_partial_outputs(
     records: list[RoundRecord], audit_log: list[str], out_dir: str | Path
 ) -> list[Path]:
-    """Persist what a starved run completed: rounds.csv plus events.log."""
+    """Persist what an aborted run completed: rounds.csv plus events.log."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_rounds_csv(records, out / "rounds.csv")

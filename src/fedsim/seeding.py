@@ -34,7 +34,3 @@ def derive_seed(*parts: int) -> int:
     seq = np.random.SeedSequence(_as_key(parts))
     return int(seq.generate_state(1, np.uint64)[0])
 
-
-def shuffle_indices(n: int, *parts: int) -> np.ndarray:
-    """Fisher-Yates permutation of ``range(n)`` keyed by the seed parts."""
-    return rng_from(*parts).permutation(n)

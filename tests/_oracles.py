@@ -143,3 +143,21 @@ def trapezoid_area(xs, ys):
     for i in range(1, len(xs)):
         total += (xs[i] - xs[i - 1]) * (ys[i] + ys[i - 1]) / 2.0
     return total
+
+
+def delay_phase_reference(events, client_id, round_index):
+    """A client's phase in a round by scanning every delay event in the script.
+
+    Returns "start", "mid" or "resume" inside a closed [round, resume_round]
+    window of that client, and None outside all of them.
+    """
+    for ev in events:
+        if ev.kind != "delay" or ev.client_id != client_id:
+            continue
+        if round_index == ev.round_index:
+            return "start"
+        if ev.round_index < round_index < ev.resume_round:
+            return "mid"
+        if round_index == ev.resume_round:
+            return "resume"
+    return None

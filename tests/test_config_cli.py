@@ -450,3 +450,49 @@ def test_cli_missing_csv_source_is_a_validation_error(tmp_path):
     assert proc.returncode == 3
     assert "data.source.path" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_delay_resuming_after_the_last_round_is_a_validation_error(tmp_path, capsys):
+    cfg = _base_cfg()
+    cfg["events"] = [{"round": 2, "kind": "delay", "client": 1, "resume_round": 40}]
+    code = main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert "round 2: delay on client 1 resumes at round 40" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def _diverging_cfg():
+    cfg = _base_cfg()
+    cfg["model"] = {"kind": "mlp-1hidden", "input_dim": 2, "hidden_dim": 4}
+    cfg["train"]["learning_rate"] = 1e300
+    return cfg
+
+
+def test_cli_diverging_run_exits_5_and_keeps_partial_results(tmp_path):
+    out = tmp_path / "diverged"
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", "run", "--config",
+         _write(tmp_path, _diverging_cfg()), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 5
+    assert "client 0 diverged in round 1" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    with (out / "rounds.csv").open() as fh:
+        assert len(list(csv.reader(fh))) == 1  # header only: round 1 never completed
+    assert (out / "events.log").exists()
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_diverging_sweep_exits_5_and_keeps_partial_results(tmp_path, capsys):
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", _write(tmp_path, _diverging_cfg()), "--out", str(out),
+                 "--variable", "N_r", "--values", "1,2"])
+    assert code == 5
+    assert "N_r=1: client 0 diverged in round 1" in capsys.readouterr().err
+    run_dir = out / "sweep_N-r" / "N_r=1"
+    assert (run_dir / "rounds.csv").exists()
+    assert (run_dir / "events.log").exists()
+    assert not (out / "sweep_N-r" / "comparison.csv").exists()

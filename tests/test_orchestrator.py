@@ -1,13 +1,16 @@
 """Round loop semantics: clock, membership events, policies, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import fedsim.orchestrator
 from fedsim.models import ModelSpec, TrainConfig, init_params, train_local
 from fedsim.orchestrator import (
     ClientSetup,
+    DivergenceError,
     IntermittencyEvent,
     NoiseConfig,
     Participation,
@@ -365,6 +368,7 @@ def test_validate_plan_rejects_bad_scripts():
         (IntermittencyEvent.delay(3, 1, 6), IntermittencyEvent.delay(4, 1, 7)),  # overlap
         (IntermittencyEvent.delay(3, 1, 6), IntermittencyEvent.leave(6, 1)),  # leave mid-window
         (IntermittencyEvent.leave(3, 1), IntermittencyEvent.delay(3, 1, 5)),  # same round
+        (IntermittencyEvent.delay(3, 1, 11),),  # resumes after the last round
     ]
     for events in cases:
         with pytest.raises(PlanValidationError):
@@ -426,3 +430,51 @@ def test_departure_and_join_trajectories_differ_between_policies():
         for ra, rb in zip(rep_drop.rounds, rep_keep.rounds)
     ]
     assert max(diffs) > 1e-9
+
+
+def test_validate_plan_compiles_the_timeline():
+    joiner = _joiner_shard(9)
+    events = (
+        IntermittencyEvent.leave(4, 0),
+        IntermittencyEvent.delay(2, 1, 5),
+        IntermittencyEvent.join(4, 9, joiner, 2.0),
+        IntermittencyEvent.delay(6, 9, 7),
+    )
+    timeline = validate_plan(_plan(events=events))
+    assert timeline.joins == {4: [events[2]]}
+    assert timeline.leaves == {4: [events[0]]}
+    assert timeline.phases == {
+        (1, 2): "start", (1, 3): "mid", (1, 4): "mid", (1, 5): "resume",
+        (9, 6): "start", (9, 7): "resume",
+    }
+
+
+def test_excluded_late_update_is_never_trained(monkeypatch):
+    trained = []
+
+    def spy(spec, params, dataset, cfg):
+        trained.append(cfg.seed)
+        return train_local(spec, params, dataset, cfg)
+
+    monkeypatch.setattr(fedsim.orchestrator, "train_local", spy)
+    plan = _plan(events=(IntermittencyEvent.delay(5, 1, 10),))
+    report = run(plan)
+    assert train_seed(plan.seed, 1, 5) not in trained
+    assert len(trained) == 3 * 10 - 5  # client 1 does not train in rounds 5..9
+    assert "round 5 delay client=1 update held back" in report.audit_log
+    assert "round 10 late-delivery client=1 discarded" in report.audit_log
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_divergence_carries_completed_rounds():
+    # An MLP joiner whose features are ~1e200 overflows in its second round of training.
+    huge = make_synthetic([[1e200, 1e200], [-1e200, -1e200]], 1e100, (8, 8), seed=303)
+    (shard,) = partition(huge, PartitionPlan("random-uniform", 1, seed=303))
+    events = (IntermittencyEvent.join(3, 9, relabel_shard(shard, 9), 1.0),)
+    plan = replace(_plan(n_rounds=5, events=events), model=ModelSpec("mlp-1hidden", 2, 4))
+    with pytest.raises(DivergenceError, match="client 9 diverged in round 4") as exc:
+        run(plan)
+    assert exc.value.client_id == 9
+    assert exc.value.round_index == 4
+    assert [rec.round_index for rec in exc.value.completed] == [1, 2, 3]
+    assert "round 3 join client=9 n_train=12" in exc.value.audit_log

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fedsim.seeding import derive_seed, rng_from, shuffle_indices
+from fedsim.seeding import derive_seed, rng_from
 
 
 def test_same_key_same_stream():
@@ -37,9 +37,3 @@ def test_derive_seed_stable_and_nonnegative():
     assert s == derive_seed(11, 2, 9)
     assert 0 <= s < 2**64
 
-
-def test_shuffle_indices_is_permutation():
-    for seed in range(5):
-        order = shuffle_indices(40, seed, 1)
-        assert sorted(order.tolist()) == list(range(40))
-    assert not np.array_equal(shuffle_indices(40, 0, 1), shuffle_indices(40, 0, 2))
