@@ -5,6 +5,7 @@ Exit codes: 0 success, 2 config parse error, 3 validation error,
 parameters).  Runs that stop with 4 or 5 still write the completed rounds
 to rounds.csv and events.log.  The output directory resolves in the
 order --out flag, config output_dir, FEDSIM_OUT environment variable.
+--seed and --format are edits to the config before it is validated.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 from .config import (
     REPORT_FORMATS,
@@ -60,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", required=True, help="path to a JSON run config")
         p.add_argument("--out", help="output directory (overrides config and FEDSIM_OUT)")
-        p.add_argument("--format", help="comma-separated subset of csv,json")
+        p.add_argument("--format", help=f"comma-separated subset of {','.join(REPORT_FORMATS)}")
         p.add_argument("--seed", type=int, help="override the config seed")
 
     common(sub.add_parser("run", help="execute one simulation"))
@@ -73,25 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
-    """Validate and build the config file once, then apply --seed and --format."""
-    rc = build_plan(load_config_file(args.config), base_dir=Path(args.config).parent)
-    echo, plan, formats = dict(rc.echo), rc.plan, rc.report_formats
+    """Build the config file with --seed and --format written into it, so the
+    config's own rules check them and name them ``seed`` and ``report_formats``."""
+    raw = load_config_file(args.config)
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigValidationError("--seed must be >= 0")
-        # The top-level seed keys only the run's randomness, never the data.
-        echo["seed"] = args.seed
-        plan = replace(plan, seed=args.seed)
-    if args.format:
-        formats = [f.strip() for f in args.format.split(",") if f.strip()]
-        for fmt in formats:
-            if fmt not in REPORT_FORMATS:
-                raise ConfigValidationError(f"--format: unknown format {fmt!r}")
-        if not formats:
-            raise ConfigValidationError(f"--format: expected a subset of {','.join(REPORT_FORMATS)}")
-        echo["report_formats"] = formats
-        formats = tuple(formats)
-    return replace(rc, plan=plan, report_formats=formats, echo=echo)
+        raw["seed"] = args.seed
+    if args.format is not None:
+        raw["report_formats"] = [f.strip() for f in args.format.split(",") if f.strip()]
+    return build_plan(raw, base_dir=Path(args.config).parent)
 
 
 def _resolve_out(args: argparse.Namespace, rc: RunConfig) -> Path:
@@ -111,7 +102,10 @@ def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport |
     """Run the plan and write its outputs.  A starved or diverged run writes
     only its completed rounds and yields its exit code instead of a report."""
     try:
-        report = run(rc.plan)
+        # A diverging client overflows before run raises DivergenceError;
+        # its one error line below replaces numpy's overflow warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run(rc.plan)
     except RunAborted as exc:
         write_partial_outputs(exc.completed, exc.audit_log, out_dir)
         print(f"error: {label}{exc}", file=sys.stderr)
@@ -121,7 +115,7 @@ def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport |
         out_dir,
         formats=rc.report_formats,
         roc_rounds=rc.roc_rounds,
-        config_echo={**rc.echo, "output_dir": str(out_dir)},
+        config_echo=rc.echo,
         centralized_epoch_time_s=rc.centralized_epoch_time_s,
     )
     return report

@@ -2,31 +2,44 @@
 
 Configs are JSON objects with a strict schema: unknown keys are
 rejected, naming the offending path.  Structural problems (bad JSON,
-unknown or missing keys, wrong types) raise ConfigParseError; values
-that are the right shape but make no sense (zero rounds, infeasible
-partitions, bad event scripts) raise ConfigValidationError.
+unknown or missing keys, wrong types, list elements included) raise
+ConfigParseError; values that are the right shape but make no sense
+(zero rounds, infeasible partitions, bad event scripts) raise
+ConfigValidationError.
+
+The keys of a section are the keyword arguments of the domain value it
+describes (``model`` is a ``ModelSpec``, ``train`` a ``TrainConfig``,
+``policy`` a ``PolicyConfig``, ``noise`` a ``NoiseConfig``,
+``data.partition`` and each join's ``data`` a ``PartitionPlan``, each
+leave or delay an ``IntermittencyEvent``), and that constructor owns the
+section's value rules and defaults.  ``validate_config`` builds these
+data-free values and reports a constructor's ValueError as
+"<section path>: <message>"; it checks by itself only what a config
+alone knows (a simulation trains at least one epoch at a positive
+learning rate, unique client ids, report formats, ROC rounds, dataset
+source shapes), and it raises every error before any data is read.
 
 ``build_plan`` materializes datasets, cuts client shards and returns a
 SimPlan together with the reporting options.  The full resolved config
-(defaults filled in, overrides applied) is echoed into summary.json,
-and feeding that echo back through this module reproduces the same
-plan.
+(defaults filled in) is echoed into summary.json, and feeding that echo
+back through this module reproduces the same plan.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
 
 from .models import Dataset, ModelSpec, TrainConfig
 from .orchestrator import (
     AGGREGATORS,
-    DELAY_POLICIES,
-    DEPARTURE_POLICIES,
-    NOISE_PLACEMENTS,
+    DELAY,
+    JOIN,
+    LEAVE,
     ClientSetup,
     IntermittencyEvent,
     NoiseConfig,
@@ -34,8 +47,7 @@ from .orchestrator import (
     SimPlan,
 )
 from .partition import (
-    PARTITION_MODES,
-    ClientShard,
+    RANDOM_UNIFORM,
     InfeasiblePartition,
     PartitionPlan,
     make_synthetic,
@@ -86,36 +98,45 @@ def _require(obj: dict, path: str, required: dict[str, type | tuple], optional: 
 
 
 def _check_type(value: Any, types: type | tuple, path: str) -> None:
-    if types is float:
-        types = (int, float)
-    if isinstance(types, tuple) and float in types:
-        types = tuple(types) + (int,)
-    if not isinstance(value, types) or isinstance(value, bool) and bool not in (
-        types if isinstance(types, tuple) else (types,)
-    ):
-        expected = getattr(types, "__name__", None) or "/".join(t.__name__ for t in types)
+    types = types if isinstance(types, tuple) else (types,)
+    if float in types and int not in types:
+        types += (int,)  # JSON writes whole numbers without a point
+    if not isinstance(value, types) or isinstance(value, bool) and bool not in types:
+        expected = "/".join(t.__name__ for t in types)
         raise ConfigParseError(f"{path}: expected {expected}, got {type(value).__name__}")
 
 
-def _int_at_least(value: Any, floor: int, path: str) -> int:
+def _check_items(values: list, types: type | tuple, path: str) -> None:
+    for i, value in enumerate(values):
+        _check_type(value, types, f"{path}[{i}]")
+
+
+def _int_at_least(value: Any, floor: int, path: str) -> None:
     _check_type(value, int, path)
     if value < floor:
         raise ConfigValidationError(f"{path}: must be >= {floor}, got {value}")
-    return int(value)
 
 
-def _positive_number(value: Any, path: str) -> float:
+def _positive_number(value: Any, path: str) -> None:
     _check_type(value, float, path)
-    if not (float(value) > 0):
-        raise ConfigValidationError(f"{path}: must be > 0, got {value}")
-    return float(value)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigValidationError(f"{path}: must be finite and > 0, got {value}")
 
 
-def _choice(value: Any, options: tuple, path: str) -> str:
-    _check_type(value, str, path)
-    if value not in options:
-        raise ConfigValidationError(f"{path}: expected one of {options}, got {value!r}")
-    return value
+def _defaults(obj: dict, cls: type, names: tuple[str, ...]) -> dict:
+    """Fill the ``names`` missing from ``obj`` with ``cls``'s field defaults."""
+    for f in fields(cls):
+        if f.name in names:
+            obj.setdefault(f.name, f.default)
+    return obj
+
+
+def _build(path: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its ValueError re-raised naming the config path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigValidationError(f"{path}: {exc}") from exc
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -155,10 +176,14 @@ def _validate_source(obj: Any, path: str, allow_holdout: bool = False) -> None:
     _require(obj, path, required, optional)
     if kind == "synthetic":
         means = obj["class_means"]
-        if len(means) != 2 or not all(isinstance(m, list) and m for m in means):
+        _check_items(means, list, f"{path}.class_means")
+        for i, mean in enumerate(means):
+            _check_items(mean, float, f"{path}.class_means[{i}]")
+        if len(means) != 2 or not all(means):
             raise ConfigValidationError(f"{path}.class_means: expected two nonempty vectors")
         npc = obj["n_per_class"]
-        if len(npc) != 2 or not all(isinstance(x, int) and x >= 0 for x in npc):
+        _check_items(npc, int, f"{path}.n_per_class")
+        if len(npc) != 2 or not all(x >= 0 for x in npc):
             raise ConfigValidationError(f"{path}.n_per_class: expected two counts >= 0")
         if sum(npc) < 1:
             raise ConfigValidationError(f"{path}.n_per_class: needs at least one sample")
@@ -170,6 +195,37 @@ def _validate_source(obj: Any, path: str, allow_holdout: bool = False) -> None:
         if not (0.0 < float(frac) < 1.0):
             raise ConfigValidationError(f"{path}.fraction: must lie in (0, 1)")
         _int_at_least(obj["seed"], 0, f"{path}.seed")
+
+
+def _domain_values(cfg: dict) -> dict:
+    """Build the data-free domain value of every section of a validated config."""
+    return {
+        "model": _build("model", ModelSpec, **cfg["model"]),
+        "train": _build("train", TrainConfig, **cfg["train"]),
+        "policy": _build("policy", PolicyConfig, **cfg["policy"]),
+        "noise": None if cfg["noise"] is None else _build("noise", NoiseConfig, **cfg["noise"]),
+        "partition": _build(
+            "data.partition",
+            PartitionPlan,
+            client_count=len(cfg["clients"]),
+            **cfg["data"]["partition"],
+        ),
+        "events": [_event(ev, f"events[{i}]") for i, ev in enumerate(cfg["events"])],
+    }
+
+
+def _event(ev: dict, path: str) -> IntermittencyEvent | PartitionPlan:
+    """A leave or delay event; for a join, the plan that cuts its shard."""
+    if ev["kind"] != JOIN:
+        return _build(
+            path, IntermittencyEvent, ev["round"], ev["kind"], ev["client"],
+            resume_round=ev.get("resume_round"),
+        )
+    # The join event itself needs the shard, and so the data; its round and
+    # client follow the same rules as a leave's.
+    _build(path, IntermittencyEvent.leave, ev["round"], ev["client"])
+    split = {key: value for key, value in ev["data"].items() if key != "source"}
+    return _build(f"{path}.data", PartitionPlan, RANDOM_UNIFORM, 1, **split)
 
 
 def validate_config(raw: dict) -> dict:
@@ -207,12 +263,6 @@ def validate_config(raw: dict) -> dict:
         {"kind": str, "input_dim": int},
         {"hidden_dim": int, "activation": str},
     )
-    _choice(cfg["model"]["kind"], ("logistic-regression", "mlp-1hidden"), "model.kind")
-    _int_at_least(cfg["model"]["input_dim"], 1, "model.input_dim")
-    if "hidden_dim" in cfg["model"]:
-        _int_at_least(cfg["model"]["hidden_dim"], 1, "model.hidden_dim")
-    if "activation" in cfg["model"]:
-        _choice(cfg["model"]["activation"], ("relu", "sigmoid"), "model.activation")
 
     # Shuffle seeds always derive from the top-level seed, so a train.seed
     # key is a mistake and gets rejected by the unknown-key rule.
@@ -222,25 +272,21 @@ def validate_config(raw: dict) -> dict:
         {"epochs": int, "batch_size": int, "learning_rate": float},
     )
     _int_at_least(cfg["train"]["epochs"], 1, "train.epochs")
-    _int_at_least(cfg["train"]["batch_size"], 1, "train.batch_size")
     _positive_number(cfg["train"]["learning_rate"], "train.learning_rate")
 
-    cfg.setdefault("aggregator", "weighted")
-    _choice(cfg["aggregator"], AGGREGATORS, "aggregator")
+    _defaults(cfg, SimPlan, ("aggregator",))
+    if cfg["aggregator"] not in AGGREGATORS:
+        raise ConfigValidationError(
+            f"aggregator: expected one of {AGGREGATORS}, got {cfg['aggregator']!r}"
+        )
 
     policy = cfg.setdefault("policy", {})
     _require(policy, "policy", {}, {"departure": str, "delay": str, "delay_resume_same_round": bool})
-    policy.setdefault("departure", "drop-history")
-    policy.setdefault("delay", "exclude-until-current")
-    policy.setdefault("delay_resume_same_round", True)
-    _choice(policy["departure"], DEPARTURE_POLICIES, "policy.departure")
-    _choice(policy["delay"], DELAY_POLICIES, "policy.delay")
+    _defaults(policy, PolicyConfig, ("departure", "delay", "delay_resume_same_round"))
 
     if cfg.get("noise") is not None:
         _require(cfg["noise"], "noise", {"amplitude": float}, {"placement": str})
-        _positive_number(cfg["noise"]["amplitude"], "noise.amplitude")
-        cfg["noise"].setdefault("placement", "client")
-        _choice(cfg["noise"]["placement"], NOISE_PLACEMENTS, "noise.placement")
+        _defaults(cfg["noise"], NoiseConfig, ("placement",))
     else:
         cfg["noise"] = None
 
@@ -255,11 +301,9 @@ def validate_config(raw: dict) -> dict:
         {"mode": str, "seed": int},
         {"counts": list, "positive_fractions": list, "train_fraction": float},
     )
-    _choice(part["mode"], PARTITION_MODES, "data.partition.mode")
-    _int_at_least(part["seed"], 0, "data.partition.seed")
-    part.setdefault("train_fraction", 0.75)
-    if not (0.0 < float(part["train_fraction"]) <= 1.0):
-        raise ConfigValidationError("data.partition.train_fraction: must lie in (0, 1]")
+    _check_items(part.get("counts", []), int, "data.partition.counts")
+    _check_items(part.get("positive_fractions", []), float, "data.partition.positive_fractions")
+    _defaults(part, PartitionPlan, ("train_fraction",))
 
     if not cfg["clients"]:
         raise ConfigValidationError("clients: at least one client is required")
@@ -278,9 +322,9 @@ def validate_config(raw: dict) -> dict:
         if not isinstance(ev, dict):
             raise ConfigParseError(f"{epath}: expected an object")
         kind = ev.get("kind")
-        if kind == "leave":
+        if kind == LEAVE:
             _require(ev, epath, {"round": int, "kind": str, "client": int})
-        elif kind == "join":
+        elif kind == JOIN:
             _require(
                 ev,
                 epath,
@@ -294,14 +338,11 @@ def validate_config(raw: dict) -> dict:
                 {"train_fraction": float, "seed": int},
             )
             _validate_source(ev["data"]["source"], f"{epath}.data.source")
-            ev["data"].setdefault("train_fraction", 0.75)
-            ev["data"].setdefault("seed", 0)
-        elif kind == "delay":
+            _defaults(ev["data"], PartitionPlan, ("train_fraction", "seed"))
+        elif kind == DELAY:
             _require(ev, epath, {"round": int, "kind": str, "client": int, "resume_round": int})
         else:
-            raise ConfigParseError(f"{epath}.kind: expected leave/join/delay, got {kind!r}")
-        _int_at_least(ev["round"], 1, f"{epath}.round")
-        _int_at_least(ev["client"], 0, f"{epath}.client")
+            raise ConfigParseError(f"{epath}.kind: expected {LEAVE}/{JOIN}/{DELAY}, got {kind!r}")
 
     cfg.setdefault("report_formats", list(REPORT_FORMATS))
     for fmt in cfg["report_formats"]:
@@ -311,8 +352,8 @@ def validate_config(raw: dict) -> dict:
         raise ConfigValidationError("report_formats: at least one format is required")
 
     cfg.setdefault("roc_rounds", [])
-    for i, r in enumerate(cfg["roc_rounds"]):
-        _check_type(r, int, f"roc_rounds[{i}]")
+    _check_items(cfg["roc_rounds"], int, "roc_rounds")
+    for r in cfg["roc_rounds"]:
         if r < 1 or r > cfg["rounds"]:
             raise ConfigValidationError(f"roc_rounds: round {r!r} outside 1..{cfg['rounds']}")
 
@@ -325,6 +366,10 @@ def validate_config(raw: dict) -> dict:
                 raise ConfigParseError(f"sweeps.{var}: unknown sweep variable")
             if not isinstance(table, dict):
                 raise ConfigParseError(f"sweeps.{var}: expected an object keyed by value")
+            for value, override in table.items():
+                _check_type(override, dict, f"sweeps.{var}.{value}")
+
+    _domain_values(cfg)
     return cfg
 
 
@@ -351,30 +396,11 @@ def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset
     return master.subset(order[n_test:]), master.subset(order[:n_test])
 
 
-def _shard_for_join(ev: dict, base_dir: Path, index: int) -> ClientShard:
-    data = _materialize_source(ev["data"]["source"], base_dir, f"events[{index}].data.source")
-    plan = PartitionPlan(
-        "random-uniform", 1, train_fraction=ev["data"]["train_fraction"], seed=ev["data"]["seed"]
-    )
-    return relabel_shard(partition(data, plan)[0], ev["client"])
-
-
 def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
     """Materialize datasets and assemble the SimPlan a config describes."""
     cfg = validate_config(cfg)
+    values = _domain_values(cfg)
     base_dir = Path(base_dir)
-    model_cfg = cfg["model"]
-    model = ModelSpec(
-        kind=model_cfg["kind"],
-        input_dim=model_cfg["input_dim"],
-        hidden_dim=model_cfg.get("hidden_dim"),
-        activation=model_cfg.get("activation", "relu"),
-    )
-    train = TrainConfig(
-        epochs=cfg["train"]["epochs"],
-        batch_size=cfg["train"]["batch_size"],
-        learning_rate=cfg["train"]["learning_rate"],
-    )
 
     master = _materialize_source(cfg["data"]["source"], base_dir, "data.source")
     gt_cfg = cfg["data"]["global_test"]
@@ -383,23 +409,9 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
     else:
         global_test = _materialize_source(gt_cfg, base_dir, "data.global_test")
 
-    part_cfg = cfg["data"]["partition"]
-    n_clients = len(cfg["clients"])
     try:
-        plan_p = PartitionPlan(
-            mode=part_cfg["mode"],
-            client_count=n_clients,
-            counts=tuple(part_cfg["counts"]) if "counts" in part_cfg else None,
-            positive_fractions=(
-                tuple(part_cfg["positive_fractions"])
-                if "positive_fractions" in part_cfg
-                else None
-            ),
-            train_fraction=part_cfg["train_fraction"],
-            seed=part_cfg["seed"],
-        )
-        shards = partition(master, plan_p)
-    except (InfeasiblePartition, ValueError) as exc:
+        shards = partition(master, values["partition"])
+    except InfeasiblePartition as exc:
         raise ConfigValidationError(f"data.partition: {exc}") from exc
 
     clients = tuple(
@@ -412,42 +424,24 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
     )
 
     events = []
-    for i, ev in enumerate(cfg["events"]):
-        if ev["kind"] == "leave":
-            events.append(IntermittencyEvent.leave(ev["round"], ev["client"]))
-        elif ev["kind"] == "delay":
-            try:
-                events.append(
-                    IntermittencyEvent.delay(ev["round"], ev["client"], ev["resume_round"])
-                )
-            except ValueError as exc:
-                raise ConfigValidationError(f"events: {exc}") from exc
-        else:
-            events.append(
-                IntermittencyEvent.join(
-                    ev["round"], ev["client"], _shard_for_join(ev, base_dir, i), ev["epoch_time_s"]
-                )
-            )
-
-    noise = None
-    if cfg["noise"] is not None:
-        noise = NoiseConfig(cfg["noise"]["amplitude"], cfg["noise"]["placement"])
+    for i, (ev, value) in enumerate(zip(cfg["events"], values["events"])):
+        if ev["kind"] == JOIN:
+            data = _materialize_source(ev["data"]["source"], base_dir, f"events[{i}].data.source")
+            shard = relabel_shard(partition(data, value)[0], ev["client"])
+            value = IntermittencyEvent.join(ev["round"], ev["client"], shard, ev["epoch_time_s"])
+        events.append(value)
 
     plan = SimPlan(
-        model=model,
-        train=train,
+        model=values["model"],
+        train=values["train"],
         n_rounds=cfg["rounds"],
         clients=clients,
         global_test=global_test,
         seed=cfg["seed"],
         events=tuple(events),
-        policy=PolicyConfig(
-            departure=cfg["policy"]["departure"],
-            delay=cfg["policy"]["delay"],
-            delay_resume_same_round=cfg["policy"]["delay_resume_same_round"],
-        ),
+        policy=values["policy"],
         aggregator=cfg["aggregator"],
-        noise=noise,
+        noise=values["noise"],
     )
     return RunConfig(
         plan=plan,

@@ -153,8 +153,8 @@ class NoiseConfig:
     placement: str = "client"
 
     def __post_init__(self) -> None:
-        if not (float(self.amplitude) > 0):
-            raise ValueError("noise amplitude must be > 0")
+        if not (0 < float(self.amplitude) < math.inf):
+            raise ValueError("noise amplitude must be finite and > 0")
         if self.placement not in NOISE_PLACEMENTS:
             raise ValueError(f"unknown noise placement {self.placement!r}")
 
@@ -170,8 +170,8 @@ class ClientSetup:
     def __post_init__(self) -> None:
         if int(self.client_id) < 0:
             raise ValueError("client_id must be >= 0")
-        if not (float(self.epoch_time_s) > 0):
-            raise ValueError("epoch_time_s must be > 0")
+        if not (0 < float(self.epoch_time_s) < math.inf):
+            raise ValueError("epoch_time_s must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,8 @@ class IntermittencyEvent:
         if self.kind == JOIN:
             if self.shard is None or self.epoch_time_s is None:
                 raise ValueError("a join event needs a shard and an epoch_time_s")
-            if not (float(self.epoch_time_s) > 0):
-                raise ValueError("epoch_time_s must be > 0")
+            if not (0 < float(self.epoch_time_s) < math.inf):
+                raise ValueError("epoch_time_s must be finite and > 0")
         else:
             if self.shard is not None or self.epoch_time_s is not None:
                 raise ValueError(f"a {self.kind} event takes no shard or epoch_time_s")

@@ -52,6 +52,13 @@ def _write(tmp_path, cfg, name="cfg.json"):
     return str(path)
 
 
+def _join(**data):
+    source = {"type": "synthetic", "class_means": [[-2, -2], [2, 2]], "n_per_class": [8, 8],
+              "seed": 12}
+    return [{"round": 2, "kind": "join", "client": 7, "epoch_time_s": 1.5,
+             "data": {"source": source, **data}}]
+
+
 def test_defaults_filled_in():
     cfg = validate_config(_base_cfg())
     assert cfg["aggregator"] == "weighted"
@@ -114,11 +121,63 @@ def test_semantic_validation():
             ),
             "fraction",
         ),
+        (lambda c: c["model"].update(hidden_dim=4), "model: logistic-regression takes no hidden_dim"),
+        (lambda c: c["model"].update(kind="mlp-1hidden"), "model: mlp-1hidden requires hidden_dim"),
+        (lambda c: c.update(events=_join(train_fraction=1.5)), r"events\[0\]\.data: train_fraction"),
+        (lambda c: c.update(events=_join(seed=-1)), r"events\[0\]\.data: seed must be >= 0"),
+        (lambda c: c["train"].update(learning_rate=float("inf")), r"train\.learning_rate"),
+        (lambda c: c.update(noise={"amplitude": float("inf")}), "noise: noise amplitude"),
+        (
+            lambda c: c["clients"][0].update(epoch_time_s=float("inf")),
+            r"clients\[0\]\.epoch_time_s",
+        ),
     ]:
         cfg = _base_cfg()
         mutate(cfg)
         with pytest.raises(ConfigValidationError, match=fragment):
             validate_config(cfg)
+
+
+def test_list_elements_are_type_checked():
+    for mutate, message in [
+        (
+            lambda c: c["data"].update(
+                partition={"mode": "explicit-counts", "seed": 0, "counts": [None, 40]}
+            ),
+            "data.partition.counts[0]: expected int, got NoneType",
+        ),
+        (
+            lambda c: c["data"].update(
+                partition={"mode": "explicit-counts", "seed": 0, "counts": [40, 10.7]}
+            ),
+            "data.partition.counts[1]: expected int, got float",
+        ),
+        (
+            lambda c: c["data"].update(
+                partition={"mode": "explicit-counts", "seed": 0, "counts": [True, 40]}
+            ),
+            "data.partition.counts[0]: expected int, got bool",
+        ),
+        (
+            lambda c: c["data"].update(
+                partition={"mode": "label-skew", "seed": 0, "positive_fractions": [None, 0.5]}
+            ),
+            "data.partition.positive_fractions[0]: expected float/int, got NoneType",
+        ),
+        (
+            lambda c: c["data"]["source"].update(class_means=[[-2, {}], [2, 2]]),
+            "data.source.class_means[0][1]: expected float/int, got dict",
+        ),
+        (
+            lambda c: c["data"]["global_test"].update(n_per_class=[20, False]),
+            "data.global_test.n_per_class[1]: expected int, got bool",
+        ),
+    ]:
+        cfg = _base_cfg()
+        mutate(cfg)
+        with pytest.raises(ConfigParseError) as info:
+            validate_config(cfg)
+        assert str(info.value) == message
 
 
 def test_event_schema():
@@ -224,10 +283,11 @@ def test_cli_run_writes_outputs(tmp_path):
     assert payload["seed"] == 5
     assert payload["config"]["rounds"] == 3
 
-    # reruns are byte-identical
+    # reruns are byte-identical, wherever they are written
     out2 = tmp_path / "out2"
     assert main(["run", "--config", cfg_path, "--out", str(out2)]) == 0
-    assert (out / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
+    for name in ("rounds.csv", "summary.json"):
+        assert (out / name).read_bytes() == (out2 / name).read_bytes()
 
 
 def test_cli_seed_and_format_overrides(tmp_path):
@@ -286,6 +346,16 @@ def test_cli_exit_codes(tmp_path):
     cfg = _base_cfg()
     assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "x"),
                  "--seed", "-3"]) == 3
+
+
+def test_cli_seed_and_format_errors_name_the_config_keys(tmp_path, capsys):
+    cfg_path = _write(tmp_path, _base_cfg())
+    assert main(["validate", "--config", cfg_path, "--seed", "-3"]) == 3
+    assert "seed: must be >= 0, got -3" in capsys.readouterr().err
+    assert main(["validate", "--config", cfg_path, "--format", "csv,yaml"]) == 3
+    assert "report_formats: unknown format 'yaml'" in capsys.readouterr().err
+    assert main(["validate", "--config", cfg_path, "--format", " , "]) == 3
+    assert "report_formats: at least one format is required" in capsys.readouterr().err
 
 
 def test_cli_starvation_keeps_partial_results(tmp_path):
@@ -477,8 +547,9 @@ def test_cli_diverging_run_exits_5_and_keeps_partial_results(tmp_path):
         capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
     )
     assert proc.returncode == 5
-    assert "client 0 diverged in round 1" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: client 0 diverged in round 1: local training produced non-finite parameters"
+    ]
     with (out / "rounds.csv").open() as fh:
         assert len(list(csv.reader(fh))) == 1  # header only: round 1 never completed
     assert (out / "events.log").exists()

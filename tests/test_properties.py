@@ -1,14 +1,19 @@
-"""Property tests over random valid event scripts and every policy combination."""
+"""Property tests over random valid event scripts and every policy
+combination, and over single-leaf mutations of the demo configs."""
 
+import json
 import math
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim.orchestrator as orch
+from fedsim.cli import main
 from fedsim.models import ModelSpec, TrainConfig
 from fedsim.orchestrator import (
     ClientSetup,
@@ -146,3 +151,62 @@ def test_run_invariants_under_every_policy(plan):
             [(rec.participants, rec.global_params.values.tobytes()) for rec in rounds[: first_event - 1]]
         )
     assert all(prefix == prefixes[0] for prefix in prefixes)
+
+
+DEMO_CONFIGS = {
+    p.stem: json.loads(p.read_text())
+    for p in sorted((Path(__file__).resolve().parent.parent / "demos" / "configs").glob("*.json"))
+}
+# No value exceeds 1 in magnitude, so no mutation can make a run much longer.
+FUZZ_VALUES = [None, True, -1, 0, 1, 0.5, "x", [], {}, [None], math.inf, math.nan]
+
+
+def _leaf_paths(node, path=()):
+    """Every scalar or empty container in ``node``, as a key path."""
+    if isinstance(node, list):
+        node = dict(enumerate(node))
+    if not isinstance(node, dict) or not node:
+        yield path
+        return
+    for key, child in node.items():
+        yield from _leaf_paths(child, path + (key,))
+
+
+@st.composite
+def mutations(draw):
+    stem = draw(st.sampled_from(sorted(DEMO_CONFIGS)))
+    path = draw(st.sampled_from(list(_leaf_paths(DEMO_CONFIGS[stem]))))
+    return stem, path, draw(st.sampled_from(FUZZ_VALUES))
+
+
+def _partition(mode, **lists):
+    return {"mode": mode, "seed": 33, **lists}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@given(mutations())
+# configs that once ended in a traceback or were silently accepted
+@example(("three_clients", ("model", "hidden_dim"), 4))
+@example(("three_clients", ("model", "kind"), "mlp-1hidden"))
+@example(("leave_join", ("events", 1, "data", "train_fraction"), 1.5))
+@example(("leave_join", ("events", 1, "data", "seed"), -1))
+@example(("three_clients", ("data", "partition"), _partition("explicit-counts", counts=[None, 9, 9])))
+@example(("three_clients", ("data", "partition"), _partition("explicit-counts", counts=[10.7, 9, 9])))
+@example(("three_clients", ("data", "partition"), _partition("explicit-counts", counts=[True, 9, 9])))
+@example(("three_clients", ("data", "partition"),
+          _partition("label-skew", positive_fractions=[None, 0.5, 0.5])))
+@example(("three_clients", ("data", "source", "class_means", 0, 1), {}))
+@example(("three_clients", ("train", "learning_rate"), math.inf))
+@example(("three_clients", ("noise",), {"amplitude": math.inf}))
+@example(("three_clients", ("clients", 0, "epoch_time_s"), math.inf))
+def test_mutated_demo_config_ends_in_a_documented_exit_code(mutation):
+    stem, path, value = mutation
+    cfg = json.loads(json.dumps(DEMO_CONFIGS[stem]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4, 5)
