@@ -11,7 +11,6 @@ order --out flag, config output_dir, FEDSIM_OUT environment variable.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -40,10 +39,10 @@ from .orchestrator import (
     validate_plan,
 )
 from .report import (
-    centralized_time,
-    time_reduction_pct,
+    centralized_comparison,
     write_partial_outputs,
     write_run_outputs,
+    write_sweep_tables,
 )
 
 EXIT_OK = 0
@@ -145,9 +144,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"parameter_count: {plan.model.param_count}")
     print(f"rounds: {plan.n_rounds} epochs_per_round: {plan.train.epochs}")
     times = [c.epoch_time_s for c in plan.clients]
-    print(f"static_sim_time_s: {static_sim_time(plan.n_rounds, plan.train.epochs, times)!r}")
-    if rc.centralized_epoch_time_s is not None:
-        print(f"centralized_time_s: {centralized_time(plan, rc.centralized_epoch_time_s)!r}")
+    static = static_sim_time(plan.n_rounds, plan.train.epochs, times)
+    print(f"static_sim_time_s: {static!r}")
+    baseline = centralized_comparison(plan, rc.centralized_epoch_time_s, static)
+    if baseline:
+        print(f"centralized_time_s: {baseline['centralized_time_s']!r}")
     for c in plan.clients:
         print(
             f"client {c.client_id}: n_train={c.shard.n_train} n_test={c.shard.test.n} "
@@ -221,7 +222,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = base_rc.echo
     values = _parse_sweep_values(args.variable, args.values)
     sweep_root = _resolve_out(args, base_rc) / f"sweep_{args.variable.replace('_', '-')}"
-    rows = []
+    runs = []
     for index, value in enumerate(values):
         label = value[0] if args.variable == "policy" else str(value)
         derived_cfg = _derive_sweep_config(cfg, args.variable, value, index)
@@ -231,61 +232,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if isinstance(report, int):
             return report
         s = report.summary
-        row = {
-            "variable": args.variable,
-            "value": label,
-            "loss": s.final.loss,
-            "accuracy": s.final.accuracy,
-            "auc": s.final.auc,
-            "rounds": s.rounds_completed,
-            "sim_time_s": s.total_sim_time_s,
-            "centralized_time_s": "",
-            "time_reduction_pct": "",
-            "avg_best_client_loss": s.client_avg_best_loss,
-            "avg_best_client_accuracy": s.client_avg_best_accuracy,
-        }
-        if rc.centralized_epoch_time_s is not None:
-            ct = centralized_time(rc.plan, rc.centralized_epoch_time_s)
-            row["centralized_time_s"] = ct
-            row["time_reduction_pct"] = time_reduction_pct(s.total_sim_time_s, ct)
-        rows.append(row)
+        baseline = centralized_comparison(rc.plan, rc.centralized_epoch_time_s, s.total_sim_time_s)
+        runs.append((label, s, baseline))
         print(f"{args.variable}={label}: sim_time_s={s.total_sim_time_s!r}")
 
-    sweep_root.mkdir(parents=True, exist_ok=True)
-    comparison = sweep_root / "comparison.csv"
-    cols = [
-        "variable",
-        "value",
-        "loss",
-        "accuracy",
-        "auc",
-        "rounds",
-        "sim_time_s",
-        "centralized_time_s",
-        "time_reduction_pct",
-    ]
-    with comparison.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in rows:
-            writer.writerow(
-                [repr(row[c]) if isinstance(row[c], float) else row[c] for c in cols]
-            )
+    comparison, *averages = write_sweep_tables(args.variable, runs, sweep_root)
     print(f"comparison written to {comparison}")
-    if args.variable == "policy":
-        averages = sweep_root / "averages.csv"
-        with averages.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["policy", "avg_best_client_loss", "avg_best_client_accuracy"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["value"],
-                        repr(row["avg_best_client_loss"]),
-                        repr(row["avg_best_client_accuracy"]),
-                    ]
-                )
-        print(f"per-client-best averages written to {averages}")
+    for path in averages:
+        print(f"per-client-best averages written to {path}")
     return EXIT_OK
 
 

@@ -117,9 +117,16 @@ def _int_at_least(value: Any, floor: int, path: str) -> None:
         raise ConfigValidationError(f"{path}: must be >= {floor}, got {value}")
 
 
+def _finite(value: float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def _positive_number(value: Any, path: str) -> None:
     _check_type(value, float, path)
-    if not (math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise ConfigValidationError(f"{path}: must be finite and > 0, got {value}")
 
 
@@ -179,8 +186,13 @@ def _validate_source(obj: Any, path: str, allow_holdout: bool = False) -> None:
         _check_items(means, list, f"{path}.class_means")
         for i, mean in enumerate(means):
             _check_items(mean, float, f"{path}.class_means[{i}]")
-        if len(means) != 2 or not all(means):
-            raise ConfigValidationError(f"{path}.class_means: expected two nonempty vectors")
+            for j, x in enumerate(mean):
+                if not _finite(x):
+                    raise ConfigValidationError(f"{path}.class_means[{i}][{j}]: must be finite")
+        if len(means) != 2 or not all(means) or len(means[0]) != len(means[1]):
+            raise ConfigValidationError(
+                f"{path}.class_means: expected two nonempty vectors of equal length"
+            )
         npc = obj["n_per_class"]
         _check_items(npc, int, f"{path}.n_per_class")
         if len(npc) != 2 or not all(x >= 0 for x in npc):
@@ -192,7 +204,7 @@ def _validate_source(obj: Any, path: str, allow_holdout: bool = False) -> None:
             _positive_number(obj["cov_scale"], f"{path}.cov_scale")
     elif kind == "holdout":
         frac = obj["fraction"]
-        if not (0.0 < float(frac) < 1.0):
+        if not (0.0 < frac < 1.0):
             raise ConfigValidationError(f"{path}.fraction: must lie in (0, 1)")
         _int_at_least(obj["seed"], 0, f"{path}.seed")
 

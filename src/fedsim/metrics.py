@@ -2,14 +2,16 @@
 
 The ROC curve sweeps the distinct scores in descending order as
 thresholds, and the trapezoidal area under it equals the tie-aware
-pairwise ranking statistic (ties credited one half).  ``summarize``
-condenses a federation run into best-round and per-client-best views.
+pairwise ranking statistic (ties credited one half).  ``evaluate`` keeps
+the curve it builds on the returned ``MetricSet.roc``, so the ROC files a
+run writes are the curves it measured.  ``summarize`` condenses a
+federation run into best-round and per-client-best views.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -31,6 +33,8 @@ class MetricSet:
     accuracy: float
     auc: float
     n: int
+    # The curve evaluate measured the AUC on; not part of equality or repr.
+    roc: RocCurve | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.loss < 0:
@@ -94,30 +98,30 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[RocCurve, float]:
     return RocCurve(np.column_stack([fpr, tpr])), auc
 
 
-def evaluate(spec: ModelSpec, params: ParameterSet, dataset: Dataset) -> MetricSet:
-    """Loss, accuracy and AUC of the model on ``dataset``.
-
-    The decision rule maps p >= 0.5 to class 1.  Raises
-    UndefinedAUCError when the dataset holds a single class.
-    """
+def _scored(
+    spec: ModelSpec, params: ParameterSet, dataset: Dataset
+) -> tuple[np.ndarray, float, float]:
+    """Scores, loss and accuracy; the decision rule maps p >= 0.5 to class 1."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     p = forward(spec, params, dataset.features)
-    _, auc = roc_auc(p, dataset.labels)
-    return MetricSet(
-        loss=bce_loss(p, dataset.labels),
-        accuracy=float(np.mean((p >= 0.5) == (dataset.labels == 1))),
-        auc=auc,
-        n=dataset.n,
-    )
+    return p, bce_loss(p, dataset.labels), float(np.mean((p >= 0.5) == (dataset.labels == 1)))
+
+
+def evaluate(spec: ModelSpec, params: ParameterSet, dataset: Dataset) -> MetricSet:
+    """Loss, accuracy, AUC and ROC curve of the model on ``dataset``.
+
+    Raises UndefinedAUCError when the dataset holds a single class.
+    """
+    p, loss, accuracy = _scored(spec, params, dataset)
+    curve, auc = roc_auc(p, dataset.labels)
+    return MetricSet(loss=loss, accuracy=accuracy, auc=auc, n=dataset.n, roc=curve)
 
 
 def loss_accuracy(spec: ModelSpec, params: ParameterSet, dataset: Dataset) -> tuple[float, float]:
     """Loss and accuracy only; defined even for single-class datasets."""
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    p = forward(spec, params, dataset.features)
-    return bce_loss(p, dataset.labels), float(np.mean((p >= 0.5) == (dataset.labels == 1)))
+    _, loss, accuracy = _scored(spec, params, dataset)
+    return loss, accuracy
 
 
 @dataclass(frozen=True)
@@ -145,36 +149,28 @@ def summarize(report: "RunReport") -> RunSummary:
     rounds = report.rounds
     if not rounds:
         raise ValueError("cannot summarize a run with no completed rounds")
-    best_loss = (rounds[0].round_index, rounds[0].global_metrics.loss)
-    best_acc = (rounds[0].round_index, rounds[0].global_metrics.accuracy)
-    best_auc = (rounds[0].round_index, rounds[0].global_metrics.auc)
-    for rec in rounds[1:]:
-        m = rec.global_metrics
-        if m.loss < best_loss[1]:
-            best_loss = (rec.round_index, m.loss)
-        if m.accuracy > best_acc[1]:
-            best_acc = (rec.round_index, m.accuracy)
-        if m.auc > best_auc[1]:
-            best_auc = (rec.round_index, m.auc)
-    per_client_loss: dict[int, float] = {}
-    per_client_acc: dict[int, float] = {}
+
+    def best(metric: str, pick) -> tuple[int, float]:
+        # min and max keep the first of equal values: the earliest round
+        values = ((rec.round_index, getattr(rec.global_metrics, metric)) for rec in rounds)
+        return pick(values, key=lambda pair: pair[1])
+
+    by_client: dict[int, list] = {}
     for rec in rounds:
         for ce in rec.client_metrics:
-            if ce.client_id not in per_client_loss or ce.loss < per_client_loss[ce.client_id]:
-                per_client_loss[ce.client_id] = ce.loss
-            if ce.client_id not in per_client_acc or ce.accuracy > per_client_acc[ce.client_id]:
-                per_client_acc[ce.client_id] = ce.accuracy
+            by_client.setdefault(ce.client_id, []).append(ce)
     avg_loss = avg_acc = None
-    if per_client_loss:
-        avg_loss = float(np.mean([per_client_loss[c] for c in sorted(per_client_loss)]))
-        avg_acc = float(np.mean([per_client_acc[c] for c in sorted(per_client_acc)]))
+    if by_client:
+        evals = [by_client[c] for c in sorted(by_client)]
+        avg_loss = float(np.mean([min(ce.loss for ce in e) for e in evals]))
+        avg_acc = float(np.mean([max(ce.accuracy for ce in e) for e in evals]))
     return RunSummary(
         rounds_completed=len(rounds),
         total_sim_time_s=report.total_sim_time_s,
         final=rounds[-1].global_metrics,
-        best_loss=best_loss,
-        best_accuracy=best_acc,
-        best_auc=best_auc,
+        best_loss=best("loss", min),
+        best_accuracy=best("accuracy", max),
+        best_auc=best("auc", max),
         client_avg_best_loss=avg_loss,
         client_avg_best_accuracy=avg_acc,
     )

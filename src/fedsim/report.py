@@ -1,7 +1,12 @@
-"""Run artifacts on disk: rounds.csv, summary.json, ROC curves, events.log.
+"""Artifacts on disk: rounds.csv, summary.json, ROC curves and events.log
+per run, comparison.csv and averages.csv per sweep.
 
-All output is deterministic: floats are written with repr (shortest
-exact round-trip), rows follow round order, and nothing timestamped is
+Each file has one writer here.  The ROC curves are those ``evaluate``
+measured during the run (this module runs no model), and
+``centralized_comparison`` owns the centralized baseline wherever it is
+reported.  All output is deterministic: floats are written with repr
+(shortest exact round-trip), an absent value is an empty CSV cell or JSON
+null, rows follow round or sweep order, and nothing timestamped is
 emitted, so rerunning the same config byte-reproduces every file.
 """
 
@@ -10,24 +15,29 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
+from typing import Iterable
 
-from .metrics import roc_auc
-from .models import forward
-from .orchestrator import RoundRecord, RunReport, SimPlan
+# bench/spans.py traces fedsim.report.forward and fedsim.report.roc_auc.
+from .metrics import RunSummary, forward, roc_auc  # noqa: F401
+from .orchestrator import RoundRecord, RunReport, SimPlan, static_sim_time
 
-ROUNDS_CSV_HEADER = [
-    "round",
-    "sim_time_s",
-    "participants",
-    "loss",
-    "accuracy",
-    "auc",
-    "client_metrics",
-]
+ROUNDS_CSV_HEADER = ["round", "sim_time_s", "participants", "loss", "accuracy", "auc",
+                     "client_metrics"]
+COMPARISON_CSV_HEADER = ["variable", "value", "loss", "accuracy", "auc", "rounds", "sim_time_s",
+                         "centralized_time_s", "time_reduction_pct"]
+AVERAGES_CSV_HEADER = ["policy", "avg_best_client_loss", "avg_best_client_accuracy"]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _fmt(x: float | None) -> str:
+    return "" if x is None else repr(float(x))
+
+
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def _participants_field(rec: RoundRecord) -> str:
@@ -39,31 +49,19 @@ def _client_metrics_field(rec: RoundRecord) -> str:
 
 
 def write_rounds_csv(records: list[RoundRecord], path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROUNDS_CSV_HEADER)
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.round_index,
-                    _fmt(rec.sim_time_s),
-                    _participants_field(rec),
-                    _fmt(rec.global_metrics.loss),
-                    _fmt(rec.global_metrics.accuracy),
-                    _fmt(rec.global_metrics.auc),
-                    _client_metrics_field(rec),
-                ]
-            )
+    rows = (
+        [rec.round_index, _fmt(rec.sim_time_s), _participants_field(rec),
+         _fmt(rec.global_metrics.loss), _fmt(rec.global_metrics.accuracy),
+         _fmt(rec.global_metrics.auc), _client_metrics_field(rec)]
+        for rec in records
+    )
+    _write_csv(path, ROUNDS_CSV_HEADER, rows)
 
 
 def write_events_log(audit_log: list[str], path: Path) -> None:
     with path.open("w") as fh:
         for line in audit_log:
             fh.write(line + "\n")
-
-
-def _metricset_json(m) -> dict:
-    return {"loss": m.loss, "accuracy": m.accuracy, "auc": m.auc, "n": m.n}
 
 
 def write_summary_json(
@@ -77,7 +75,8 @@ def write_summary_json(
         "seed": report.plan.seed,
         "rounds_completed": s.rounds_completed,
         "total_sim_time_s": s.total_sim_time_s,
-        "final": _metricset_json(s.final),
+        "final": {"loss": s.final.loss, "accuracy": s.final.accuracy, "auc": s.final.auc,
+                  "n": s.final.n},
         "best": {
             "loss": {"round": s.best_loss[0], "value": s.best_loss[1]},
             "accuracy": {"round": s.best_accuracy[0], "value": s.best_accuracy[1]},
@@ -87,11 +86,8 @@ def write_summary_json(
             "loss": s.client_avg_best_loss,
             "accuracy": s.client_avg_best_accuracy,
         },
+        **centralized_comparison(report.plan, centralized_epoch_time_s, s.total_sim_time_s),
     }
-    if centralized_epoch_time_s is not None:
-        centralized = centralized_time(report.plan, centralized_epoch_time_s)
-        payload["centralized_time_s"] = centralized
-        payload["time_reduction_pct"] = time_reduction_pct(s.total_sim_time_s, centralized)
     if config_echo is not None:
         payload["config"] = config_echo
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -99,7 +95,7 @@ def write_summary_json(
 
 def centralized_time(plan: SimPlan, epoch_time_s: float) -> float:
     """Single-machine baseline: same round/epoch schedule, one worker."""
-    return plan.n_rounds * (plan.train.epochs * float(epoch_time_s))
+    return static_sim_time(plan.n_rounds, plan.train.epochs, [float(epoch_time_s)])
 
 
 def time_reduction_pct(sim_time_s: float, centralized_time_s: float) -> float:
@@ -107,19 +103,43 @@ def time_reduction_pct(sim_time_s: float, centralized_time_s: float) -> float:
     return 100.0 * (1.0 - sim_time_s / centralized_time_s)
 
 
+def centralized_comparison(
+    plan: SimPlan, epoch_time_s: float | None, sim_time_s: float
+) -> dict[str, float]:
+    """``centralized_time_s`` and the ``time_reduction_pct`` of ``sim_time_s``
+    against it; empty when the config sets no centralized epoch time."""
+    if epoch_time_s is None:
+        return {}
+    centralized = centralized_time(plan, epoch_time_s)
+    return {
+        "centralized_time_s": centralized,
+        "time_reduction_pct": time_reduction_pct(sim_time_s, centralized),
+    }
+
+
 def write_roc_csvs(report: RunReport, rounds: tuple[int, ...], out_dir: Path) -> list[Path]:
+    """Write the ROC curve each listed round's evaluation measured."""
     paths = []
     by_index = {rec.round_index: rec for rec in report.rounds}
     for r in rounds:
         rec = by_index.get(r)
         if rec is None:
             continue  # starved runs may not have reached this round
-        scores = forward(report.plan.model, rec.global_params, report.plan.global_test.features)
-        curve, _ = roc_auc(scores, report.plan.global_test.labels)
         path = out_dir / f"roc_round{r}.csv"
-        curve.to_csv(path)
+        rec.global_metrics.roc.to_csv(path)
         paths.append(path)
     return paths
+
+
+def _write_trail(out: Path, records: list[RoundRecord] | None, audit_log: list[str]) -> list[Path]:
+    """events.log, preceded by rounds.csv unless ``records`` is None."""
+    out.mkdir(parents=True, exist_ok=True)
+    written = []
+    if records is not None:
+        write_rounds_csv(records, out / "rounds.csv")
+        written.append(out / "rounds.csv")
+    write_events_log(audit_log, out / "events.log")
+    return [*written, out / "events.log"]
 
 
 def write_run_outputs(
@@ -130,13 +150,11 @@ def write_run_outputs(
     config_echo: dict | None = None,
     centralized_epoch_time_s: float | None = None,
 ) -> list[Path]:
-    """Write the run artifacts and return the paths created."""
+    """Write the run artifacts and return the paths created: events.log,
+    rounds.csv and the ROC curves for "csv", summary.json for "json"."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    written = _write_trail(out, report.rounds if "csv" in formats else None, report.audit_log)
     if "csv" in formats:
-        write_rounds_csv(report.rounds, out / "rounds.csv")
-        written.append(out / "rounds.csv")
         written.extend(write_roc_csvs(report, tuple(roc_rounds), out))
     if "json" in formats:
         write_summary_json(
@@ -146,8 +164,6 @@ def write_run_outputs(
             centralized_epoch_time_s=centralized_epoch_time_s,
         )
         written.append(out / "summary.json")
-    write_events_log(report.audit_log, out / "events.log")
-    written.append(out / "events.log")
     return written
 
 
@@ -155,8 +171,27 @@ def write_partial_outputs(
     records: list[RoundRecord], audit_log: list[str], out_dir: str | Path
 ) -> list[Path]:
     """Persist what an aborted run completed: rounds.csv plus events.log."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_rounds_csv(records, out / "rounds.csv")
-    write_events_log(audit_log, out / "events.log")
-    return [out / "rounds.csv", out / "events.log"]
+    return _write_trail(Path(out_dir), records, audit_log)
+
+
+def write_sweep_tables(
+    variable: str, runs: list[tuple[str, RunSummary, dict[str, float]]], out_dir: Path
+) -> list[Path]:
+    """A sweep's comparison.csv, plus averages.csv for a policy sweep.
+
+    ``runs`` holds each value's label, run summary and
+    ``centralized_comparison``, in sweep order.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rows = (
+        [variable, label, _fmt(s.final.loss), _fmt(s.final.accuracy), _fmt(s.final.auc),
+         s.rounds_completed, _fmt(s.total_sim_time_s), _fmt(baseline.get("centralized_time_s")),
+         _fmt(baseline.get("time_reduction_pct"))]
+        for label, s, baseline in runs
+    )
+    written = [_write_csv(out_dir / "comparison.csv", COMPARISON_CSV_HEADER, rows)]
+    if variable == "policy":
+        rows = ([label, _fmt(s.client_avg_best_loss), _fmt(s.client_avg_best_accuracy)]
+                for label, s, _ in runs)
+        written.append(_write_csv(out_dir / "averages.csv", AVERAGES_CSV_HEADER, rows))
+    return written

@@ -131,6 +131,40 @@ def test_semantic_validation():
             lambda c: c["clients"][0].update(epoch_time_s=float("inf")),
             r"clients\[0\]\.epoch_time_s",
         ),
+        # an int too large for a float is no finite number either
+        (
+            lambda c: c["clients"][0].update(epoch_time_s=10**400),
+            r"clients\[0\]\.epoch_time_s: must be finite",
+        ),
+        (lambda c: c["data"]["source"]["class_means"][1].__setitem__(0, -(10**400)), "must be finite"),
+        (
+            lambda c: c["data"].update(
+                global_test={"type": "holdout", "fraction": 10**400, "seed": 0}
+            ),
+            "fraction",
+        ),
+        (
+            lambda c: c["data"]["source"]["class_means"][0].__setitem__(1, float("inf")),
+            r"data\.source\.class_means\[0\]\[1\]: must be finite",
+        ),
+        (
+            lambda c: c["data"]["global_test"]["class_means"][1].__setitem__(0, float("nan")),
+            r"data\.global_test\.class_means\[1\]\[0\]: must be finite",
+        ),
+        (
+            lambda c: c["data"]["source"]["class_means"][1].append(2),
+            r"data\.source\.class_means: expected two nonempty vectors of equal length",
+        ),
+        (
+            lambda c: c.update(events=_join())
+            or c["events"][0]["data"]["source"]["class_means"][1].__setitem__(0, float("-inf")),
+            r"events\[0\]\.data\.source\.class_means\[1\]\[0\]: must be finite",
+        ),
+        (
+            lambda c: c.update(events=_join())
+            or c["events"][0]["data"]["source"]["class_means"][0].pop(),
+            r"events\[0\]\.data\.source\.class_means: expected two nonempty vectors",
+        ),
     ]:
         cfg = _base_cfg()
         mutate(cfg)
@@ -444,6 +478,22 @@ def test_cli_sweep_policy_keeps_seed_and_writes_averages(tmp_path):
         for v in values.split(",")
     }
     assert seeds == {5}
+
+
+def test_cli_sweep_policy_writes_an_absent_average_as_an_empty_cell(tmp_path):
+    cfg = _base_cfg()
+    cfg["data"]["partition"]["train_fraction"] = 1.0  # no client holds test samples
+    cfg_path = _write(tmp_path, cfg)
+    out = tmp_path / "pol"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--variable", "policy", "--values", "retain-last+use-stale-accept-any"]) == 0
+    root = out / "sweep_policy"
+    assert (root / "averages.csv").read_text().splitlines() == [
+        "policy,avg_best_client_loss,avg_best_client_accuracy",
+        "retain-last+use-stale-accept-any,,",
+    ]
+    summary = json.loads((root / "policy=retain-last+use-stale-accept-any" / "summary.json").read_text())
+    assert summary["client_best_avg"] == {"loss": None, "accuracy": None}
 
 
 def test_cli_sweep_client_count(tmp_path):

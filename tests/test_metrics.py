@@ -124,6 +124,22 @@ def test_evaluate_perfectly_separated():
     assert m.n == 50
 
 
+def test_evaluate_keeps_the_roc_curve_it_measured():
+    spec = ModelSpec("logistic-regression", input_dim=2)
+    p = init_params(spec, 4)
+    ds = make_synthetic([[-1.0, 0.0], [1.0, 0.5]], 1.0, (30, 20), seed=6)
+    m = evaluate(spec, p, ds)
+    curve, auc = roc_auc(forward(spec, p, ds.features), ds.labels)
+    assert np.array_equal(m.roc.points, curve.points)
+    assert m.auc == auc
+    assert (m.loss, m.accuracy) == loss_accuracy(spec, p, ds)
+    # the curve takes no part in equality or repr
+    bare = MetricSet(loss=m.loss, accuracy=m.accuracy, auc=m.auc, n=m.n)
+    assert bare.roc is None
+    assert bare == m
+    assert repr(bare) == repr(m)
+
+
 def test_loss_accuracy_allows_single_class():
     spec = ModelSpec("logistic-regression", input_dim=1)
     p = init_params(spec, 0)

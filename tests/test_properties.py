@@ -3,12 +3,14 @@ combination, and over single-leaf mutations of the demo configs."""
 
 import json
 import math
+import re
 import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -102,12 +104,14 @@ def aggregated_updates():
 
 
 def _rounds_and_updates(plan):
+    """Completed rounds, each round's aggregated updates, and the audit log."""
     with aggregated_updates() as seen:
         try:
-            rounds = run(plan).rounds
+            report = run(plan)
+            rounds, audit = report.rounds, report.audit_log
         except PolicyStarvationError as exc:
-            rounds = exc.completed
-    return rounds, seen[: len(rounds)]
+            rounds, audit = exc.completed, exc.audit_log
+    return rounds, seen[: len(rounds)], audit
 
 
 @TINY
@@ -136,7 +140,7 @@ def test_run_invariants_under_every_policy(plan):
     first_event = min((ev.round_index for ev in plan.events), default=plan.n_rounds + 1)
     prefixes = []
     for policy in POLICIES:
-        rounds, updates = _rounds_and_updates(replace(plan, policy=policy))
+        rounds, updates, _ = _rounds_and_updates(replace(plan, policy=policy))
         assert len(rounds) >= first_event - 1  # nothing can starve before the first event
         for rec, round_updates in zip(rounds, updates):
             r = rec.round_index
@@ -151,6 +155,41 @@ def test_run_invariants_under_every_policy(plan):
             [(rec.participants, rec.global_params.values.tobytes()) for rec in rounds[: first_event - 1]]
         )
     assert all(prefix == prefixes[0] for prefix in prefixes)
+
+
+AGGREGATE_LINE = re.compile(r"round (\d+) aggregate participants=(\S+) weights=(\S+) total_n=(\d+)")
+
+
+@TINY
+@given(plans(), st.sampled_from(POLICIES))
+def test_audit_log_lists_each_rounds_participants_and_weights(plan, policy):
+    rounds, _, audit = _rounds_and_updates(replace(plan, policy=policy))
+    lines = [m for line in audit if (m := AGGREGATE_LINE.fullmatch(line))]
+    assert len(lines) == len(rounds)
+    for rec, m in zip(rounds, lines):
+        r, participants, weights, total_n = m.groups()
+        assert int(r) == rec.round_index
+        labels = [p.split(":") for p in participants.split(",")]
+        assert [(int(cid), label) for cid, label in labels] == [
+            (p.client_id, "fresh" if p.fresh else f"stale({p.age})") for p in rec.participants
+        ]
+        pairs = [w.split(":") for w in weights.split(",")]
+        assert tuple((int(cid), float(w)) for cid, w in pairs) == rec.aggregate.weights_used
+        assert sorted(cid for cid, _ in rec.aggregate.weights_used) == sorted(
+            p.client_id for p in rec.participants
+        )
+        assert int(total_n) == rec.aggregate.total_n
+
+
+@TINY
+@given(plans(), st.sampled_from(POLICIES))
+def test_each_aggregate_lies_within_the_envelope_of_its_updates(plan, policy):
+    rounds, updates, _ = _rounds_and_updates(replace(plan, policy=policy))
+    assert len(updates) == len(rounds)
+    for rec, round_updates in zip(rounds, updates):
+        stacked = np.stack([u.params.values for u in round_updates])
+        assert np.all(rec.aggregate.params.values >= stacked.min(axis=0))
+        assert np.all(rec.aggregate.params.values <= stacked.max(axis=0))
 
 
 DEMO_CONFIGS = {

@@ -1,11 +1,14 @@
 import csv
 import json
 
+import fedsim.metrics
+import fedsim.report
 from fedsim.models import ModelSpec, TrainConfig
 from fedsim.orchestrator import ClientSetup, IntermittencyEvent, PolicyConfig, SimPlan, run
 from fedsim.partition import PartitionPlan, make_synthetic, partition
 from fedsim.report import (
     ROUNDS_CSV_HEADER,
+    centralized_comparison,
     centralized_time,
     time_reduction_pct,
     write_partial_outputs,
@@ -92,6 +95,22 @@ def test_roc_csvs(tmp_path):
     assert write_roc_csvs(report, (9,), tmp_path) == []
 
 
+def test_roc_csvs_are_the_curves_the_run_measured(tmp_path, monkeypatch):
+    report = _report()
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("report writing must not run the model")
+
+    monkeypatch.setattr(fedsim.report, "forward", no_model)
+    monkeypatch.setattr(fedsim.report, "roc_auc", no_model)
+    monkeypatch.setattr(fedsim.metrics, "forward", no_model)
+    monkeypatch.setattr(fedsim.metrics, "roc_auc", no_model)
+    write_run_outputs(report, tmp_path, roc_rounds=(2,))
+    with (tmp_path / "roc_round2.csv").open() as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [[float(x) for x in row] for row in rows] == report.rounds[1].global_metrics.roc.points.tolist()
+
+
 def test_events_log_audit_trail(tmp_path):
     report = _report(n_rounds=4, events=(IntermittencyEvent.delay(2, 1, 3),))
     write_run_outputs(report, tmp_path)
@@ -124,3 +143,8 @@ def test_time_reduction_fixtures():
     assert round(time_reduction_pct(110.0, 1386.0), 2) == 92.06
     report = _report()
     assert centralized_time(report.plan, 138.6) == 3 * 138.6
+    assert centralized_comparison(report.plan, None, 9.0) == {}
+    assert centralized_comparison(report.plan, 10.0, 9.0) == {
+        "centralized_time_s": 30.0,
+        "time_reduction_pct": time_reduction_pct(9.0, 30.0),
+    }
