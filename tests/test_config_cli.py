@@ -136,7 +136,10 @@ def test_semantic_validation():
             lambda c: c["clients"][0].update(epoch_time_s=10**400),
             r"clients\[0\]\.epoch_time_s: must be finite",
         ),
-        (lambda c: c["data"]["source"]["class_means"][1].__setitem__(0, -(10**400)), "must be finite"),
+        (
+            lambda c: c["data"]["source"]["class_means"][1].__setitem__(0, -(10**400)),
+            r"data\.source\.class_means\[1\]\[0\]: must be finite",
+        ),
         (
             lambda c: c["data"].update(
                 global_test={"type": "holdout", "fraction": 10**400, "seed": 0}
@@ -492,8 +495,8 @@ def test_cli_sweep_policy_writes_an_absent_average_as_an_empty_cell(tmp_path):
         "policy,avg_best_client_loss,avg_best_client_accuracy",
         "retain-last+use-stale-accept-any,,",
     ]
-    summary = json.loads((root / "policy=retain-last+use-stale-accept-any" / "summary.json").read_text())
-    assert summary["client_best_avg"] == {"loss": None, "accuracy": None}
+    summary = root / "policy=retain-last+use-stale-accept-any" / "summary.json"
+    assert json.loads(summary.read_text())["client_best_avg"] == {"loss": None, "accuracy": None}
 
 
 def test_cli_sweep_client_count(tmp_path):

@@ -108,7 +108,8 @@ def test_roc_csvs_are_the_curves_the_run_measured(tmp_path, monkeypatch):
     write_run_outputs(report, tmp_path, roc_rounds=(2,))
     with (tmp_path / "roc_round2.csv").open() as fh:
         rows = list(csv.reader(fh))[1:]
-    assert [[float(x) for x in row] for row in rows] == report.rounds[1].global_metrics.roc.points.tolist()
+    measured = report.rounds[1].global_metrics.roc.points
+    assert [[float(x) for x in row] for row in rows] == measured.tolist()
 
 
 def test_events_log_audit_trail(tmp_path):
