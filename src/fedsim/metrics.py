@@ -10,7 +10,6 @@ federation run into best-round and per-client-best views.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -65,11 +64,8 @@ class RocCurve:
         object.__setattr__(self, "points", pts)
 
     def to_csv(self, path: str | Path) -> None:
-        with Path(path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr"])
-            for fpr, tpr in self.points:
-                writer.writerow([repr(float(fpr)), repr(float(tpr))])
+        rows = "".join(f"{fpr!r},{tpr!r}\r\n" for fpr, tpr in self.points.tolist())
+        Path(path).write_text("fpr,tpr\r\n" + rows, newline="")
 
 
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[RocCurve, float]:

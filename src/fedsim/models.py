@@ -16,6 +16,7 @@ config) tuple always reproduces the same bits on one platform.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,7 +94,7 @@ def _adopt(values: np.ndarray, shapes: LayerShapes, check: bool = True, into=Non
     if check:
         if values.ndim != 1:
             raise ValueError(f"parameter values must be 1-D, got shape {values.shape}")
-        n = sum(math.prod(dims) for _, dims in shapes)
+        n = _entry_count(shapes)
         if n != values.size:
             raise ValueError(f"layer shapes describe {n} entries but vector has {values.size}")
         if not np.isfinite(values).all():
@@ -102,6 +103,11 @@ def _adopt(values: np.ndarray, shapes: LayerShapes, check: bool = True, into=Non
     object.__setattr__(ps, "values", values)
     object.__setattr__(ps, "shapes", shapes)
     return ps
+
+
+@functools.cache
+def _entry_count(shapes: LayerShapes) -> int:
+    return sum(math.prod(dims) for _, dims in shapes)
 
 
 @dataclass(frozen=True)
@@ -130,7 +136,7 @@ class ModelSpec:
         elif self.hidden_dim is not None:
             raise ValueError("logistic-regression takes no hidden_dim")
 
-    @property
+    @functools.cached_property
     def layer_shapes(self) -> LayerShapes:
         d = self.input_dim
         if self.kind == LOGISTIC:
@@ -145,7 +151,7 @@ class ModelSpec:
 
     @property
     def param_count(self) -> int:
-        return sum(math.prod(dims) for _, dims in self.layer_shapes)
+        return _entry_count(self.layer_shapes)
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,7 @@ def _logistic(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | Non
     if y is None:
         return p, None
     dz = (p - y) / y.size  # d(mean BCE)/d(logit) through the sigmoid output
-    return p, np.concatenate([X.T @ dz, [dz.sum()]])
+    return p, np.concatenate([X.T @ dz, dz.sum(keepdims=True)])
 
 
 def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> _Out:

@@ -44,6 +44,7 @@ round.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -330,8 +331,11 @@ def validate_plan(plan: SimPlan) -> Timeline:
         errors.append("train.epochs must be >= 1 for a simulation plan")
     if plan.aggregator not in AGGREGATORS:
         errors.append(f"unknown aggregator {plan.aggregator!r}")
-    if plan.seed < 0:
-        errors.append("seed must be >= 0")
+    try:
+        if operator.index(plan.seed) < 0:
+            errors.append("seed must be >= 0")
+    except TypeError:
+        errors.append(f"seed must be an integer, got {plan.seed!r}")
     if plan.global_test.n == 0:
         errors.append("global_test must be nonempty")
     elif len(set(plan.global_test.labels.tolist())) < 2:

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -95,6 +96,22 @@ def test_roc_curve_shape_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "fpr,tpr"
     assert len(lines) == len(pts) + 1
+
+
+def test_roc_csv_bytes_match_a_csv_writer_of_each_points_repr(tmp_path):
+    fpr = np.array([0.0, 1e-17, 0.1 + 0.2, 1 / 3, 1.0])
+    tpr = np.array([0.0, 2 / 3, 2 / 3, 0.9999999999999999, 1.0])
+    curve = RocCurve(np.column_stack([fpr, tpr]))
+    want = tmp_path / "want.csv"
+    with want.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["fpr", "tpr"])
+        for a, b in zip(fpr, tpr):
+            writer.writerow([repr(float(a)), repr(float(b))])
+    got = tmp_path / "got.csv"
+    curve.to_csv(got)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().startswith(b"fpr,tpr\r\n0.0,0.0\r\n1e-17,")
 
 
 def test_roc_curve_validation():

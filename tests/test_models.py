@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,30 @@ def test_parameter_set_is_frozen():
     p = ParameterSet(np.zeros(4), LR3.layer_shapes)
     with pytest.raises(ValueError):
         p.values[0] = 1.0
+
+
+def test_warm_layout_memo_still_rejects_a_wrong_length():
+    spec = ModelSpec(MLP, input_dim=4, hidden_dim=2)
+    good = init_params(spec, 3)
+    loss_and_grad(spec, good, np.zeros((2, 4)), np.array([0, 1]))  # memo is warm
+    for n in (spec.param_count - 1, spec.param_count + 1, 0):
+        with pytest.raises(ValueError, match="layer shapes describe"):
+            ParameterSet(np.zeros(n), spec.layer_shapes)
+        with pytest.raises(ValueError, match="layer shapes describe"):
+            good.with_values(np.zeros(n))
+
+
+def test_cached_layout_leaves_model_spec_equality_hash_and_repr_alone():
+    a = ModelSpec(MLP, input_dim=2, hidden_dim=3)
+    b = ModelSpec(MLP, input_dim=2, hidden_dim=3)
+    text, key = repr(b), hash(b)
+    assert a.layer_shapes is a.layer_shapes
+    assert a == b and hash(a) == key and repr(a) == text
+    assert text == "ModelSpec(kind='mlp-1hidden', input_dim=2, hidden_dim=3, activation='relu')"
+    assert a != ModelSpec(MLP, input_dim=2, hidden_dim=4)
+    assert replace(a, hidden_dim=4).layer_shapes[0] == ("hidden_kernel", (2, 4))
+    with pytest.raises(FrozenInstanceError):
+        a.input_dim = 5
 
 
 def test_model_spec_param_counts():

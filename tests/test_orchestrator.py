@@ -387,6 +387,17 @@ def test_validate_plan_basic_fields():
         validate_plan(_plan(global_test=one_class))
 
 
+def test_a_non_integer_plan_seed_is_a_plan_validation_error():
+    for seed in (3.7, 5.0, "5", None):
+        with pytest.raises(PlanValidationError, match="seed must be an integer"):
+            validate_plan(_plan(seed=seed))
+        with pytest.raises(PlanValidationError, match="seed must be an integer"):
+            run(_plan(seed=seed))
+    with pytest.raises(PlanValidationError, match="seed must be >= 0"):
+        validate_plan(_plan(seed=-1))
+    validate_plan(_plan(seed=np.int64(5)))
+
+
 def test_sequential_delays_on_one_client_are_legal():
     events = (IntermittencyEvent.delay(2, 1, 4), IntermittencyEvent.delay(5, 1, 7))
     plan = _plan(events=events, policy=PolicyConfig(delay="use-stale-accept-any"))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.seeding import derive_seed, rng_from
 
@@ -37,3 +39,44 @@ def test_derive_seed_stable_and_nonnegative():
     assert s == derive_seed(11, 2, 9)
     assert 0 <= s < 2**64
 
+
+# A key part: 0, a 32-bit, a 64-bit or a wider integer, so keys split into
+# one to several uint32 words each.
+_PARTS = st.one_of(
+    st.just(0),
+    st.integers(0, 2**32 - 1),
+    st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**130),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(_PARTS, min_size=1, max_size=9))
+def test_seeds_and_generators_match_numpys_seed_sequence(key):
+    ref = np.random.SeedSequence(list(key))
+    assert derive_seed(*key) == int(ref.generate_state(1, np.uint64)[0])
+    rng = rng_from(*key)
+    assert rng.bit_generator.state == np.random.default_rng(ref).bit_generator.state
+    seq = rng.bit_generator.seed_seq
+    assert isinstance(seq, np.random.SeedSequence)
+    for n in range(1, 9):
+        for dtype in (np.uint32, np.uint64):
+            got, want = seq.generate_state(n, dtype), ref.generate_state(n, dtype)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    for child, ref_child in zip(rng.spawn(2), np.random.default_rng(ref).spawn(2)):
+        assert child.bit_generator.state == ref_child.bit_generator.state
+
+
+def test_generate_state_rejects_other_dtypes_like_numpy():
+    with pytest.raises(ValueError):
+        rng_from(1).bit_generator.seed_seq.generate_state(2, np.int64)
+
+
+def test_seed_parts_must_be_integers():
+    for bad in (3.7, 3.0, "5", None, np.float64(2.0)):
+        with pytest.raises(TypeError):
+            derive_seed(1, bad)
+        with pytest.raises(TypeError):
+            rng_from(bad)
+    assert derive_seed(np.int64(5), np.uint32(2)) == derive_seed(5, 2)
+    assert rng_from(np.uint64(2**63)).random() == rng_from(2**63).random()
