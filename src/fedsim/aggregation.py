@@ -110,5 +110,5 @@ def add_uniform_noise(params: ParameterSet, amplitude: float, seed: int) -> Para
     a = float(amplitude)
     if not (a > 0):
         raise ValueError("noise amplitude must be > 0")
-    noise = rng_from(int(seed)).uniform(-a, a, size=params.size)
+    noise = rng_from(seed).uniform(-a, a, size=params.size)
     return params.with_values(params.values + noise)

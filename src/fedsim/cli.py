@@ -6,6 +6,11 @@ parameters).  Runs that stop with 4 or 5 still write the completed rounds
 to rounds.csv and events.log.  The output directory resolves in the
 order --out flag, config output_dir, FEDSIM_OUT environment variable.
 --seed and --format are edits to the config before it is validated.
+
+A sweep validates the base config without building it.  Each value runs the
+base deep-merged with its ``sweeps.<variable>.<value>`` override (keyed by the
+value as written, ``departure+delay`` for policy) and then with the variable's
+own edit, which wins; errors in that config are prefixed ``<variable>=<value>: ``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,8 @@ from .config import (
     build_plan,
     deep_merge,
     load_config_file,
-    validate_config,  # noqa: F401  (bench/spans.py traces fedsim.cli.validate_config)
+    validate_clients,
+    validate_config,
 )
 from .orchestrator import (
     PlanValidationError,
@@ -73,22 +79,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(args: argparse.Namespace) -> RunConfig:
-    """Build the config file with --seed and --format written into it, so the
+def _edited_config(args: argparse.Namespace) -> dict:
+    """The config file with --seed and --format written into it, so the
     config's own rules check them and name them ``seed`` and ``report_formats``."""
     raw = load_config_file(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.format is not None:
         raw["report_formats"] = [f.strip() for f in args.format.split(",") if f.strip()]
-    return build_plan(raw, base_dir=Path(args.config).parent)
+    return raw
 
 
-def _resolve_out(args: argparse.Namespace, rc: RunConfig) -> Path:
+def _resolve_out(args: argparse.Namespace, output_dir: str | None) -> Path:
     if args.out:
         return Path(args.out)
-    if rc.output_dir:
-        return Path(args.config).parent / rc.output_dir
+    if output_dir:
+        return Path(args.config).parent / output_dir
     env = os.environ.get("FEDSIM_OUT")
     if env:
         return Path(env)
@@ -121,8 +127,8 @@ def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport |
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    rc = _load(args)
-    out_dir = _resolve_out(args, rc)
+    rc = build_plan(_edited_config(args), base_dir=Path(args.config).parent)
+    out_dir = _resolve_out(args, rc.output_dir)
     report = _run_and_write(rc, out_dir)
     if isinstance(report, int):
         return report
@@ -136,7 +142,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    rc = _load(args)
+    rc = build_plan(_edited_config(args), base_dir=Path(args.config).parent)
     validate_plan(rc.plan)
     plan = rc.plan
     print("config ok")
@@ -162,79 +168,63 @@ def _parse_sweep_values(variable: str, raw: str) -> list:
     if not values:
         raise ConfigValidationError("--values: expected at least one value")
     if variable == "policy":
-        parsed = []
         for v in values:
             if "+" not in v:
                 raise ConfigValidationError(
                     f"--values: policy values look like departure+delay, got {v!r}"
                 )
-            dep, _, dl = v.partition("+")
-            parsed.append((v, dep, dl))
-        return parsed
+        return values
     try:
-        ints = [int(v) for v in values]
+        return sorted({int(v) for v in values})
     except ValueError as exc:
         raise ConfigValidationError(f"--values: expected integers for {variable}") from exc
-    if any(v < 1 for v in ints):
-        raise ConfigValidationError(f"--values: {variable} values must be >= 1")
-    return sorted(set(ints))
 
 
-def _derive_sweep_config(cfg: dict, variable: str, value, index: int) -> dict:
-    derived = deep_merge(cfg, {})
-    derived.pop("sweeps", None)
-    override = cfg.get("sweeps", {}).get(variable, {}).get(str(value))
-    if override:
-        derived = deep_merge(derived, override)
-        derived.pop("sweeps", None)
+def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
+    """The keys a swept value sets, given its merged config and derived seed
+    (a policy sweep keeps the config's seed, so trajectories stay comparable)."""
+    if variable == "policy":
+        departure, _, delay = value.partition("+")
+        return {"policy": {"departure": departure, "delay": delay}}
     if variable == "N_r":
-        derived["rounds"] = value
-        derived["seed"] = sweep_seed(cfg["seed"], index)
-    elif variable == "client-count":
-        k = value
-        if len(derived["clients"]) != k:
-            times = {c["epoch_time_s"] for c in derived["clients"]}
-            if len(times) != 1:
-                raise ConfigValidationError(
-                    f"client-count={k}: add a sweeps override, or give every base client the "
-                    "same epoch_time_s so the list can be resized automatically"
-                )
-            t = times.pop()
-            derived["clients"] = [{"id": i + 1, "epoch_time_s": t} for i in range(k)]
-        part = derived["data"]["partition"]
-        for key in ("counts", "positive_fractions"):
-            if key in part and len(part[key]) != len(derived["clients"]):
-                raise ConfigValidationError(
-                    f"client-count={k}: partition {key} has {len(part[key])} entries; "
-                    "add a sweeps override or use random-uniform partitioning"
-                )
-        derived["seed"] = sweep_seed(cfg["seed"], index)
-    else:  # policy: keep the base seed so trajectories stay comparable
-        _, dep, dl = value
-        derived.setdefault("policy", {})
-        derived["policy"]["departure"] = dep
-        derived["policy"]["delay"] = dl
-    return derived
+        return {"rounds": value, "seed": seed}
+    clients = cfg["clients"]
+    validate_clients(clients)
+    if len(clients) == value:
+        return {"seed": seed}
+    times = {c["epoch_time_s"] for c in clients}
+    if len(times) != 1:
+        raise ConfigValidationError(
+            "add a sweeps override, or give every base client the same "
+            "epoch_time_s so the list can be resized automatically"
+        )
+    t = times.pop()
+    return {"seed": seed, "clients": [{"id": i + 1, "epoch_time_s": t} for i in range(value)]}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base_rc = _load(args)
-    cfg = base_rc.echo
+    base = validate_config(_edited_config(args))
+    overrides = base.pop("sweeps", {}).get(args.variable, {})
     values = _parse_sweep_values(args.variable, args.values)
-    sweep_root = _resolve_out(args, base_rc) / f"sweep_{args.variable.replace('_', '-')}"
+    out_dir = _resolve_out(args, base.get("output_dir"))
+    sweep_root = out_dir / f"sweep_{args.variable.replace('_', '-')}"
     runs = []
     for index, value in enumerate(values):
-        label = value[0] if args.variable == "policy" else str(value)
-        derived_cfg = _derive_sweep_config(cfg, args.variable, value, index)
-        rc = build_plan(derived_cfg, base_dir=Path(args.config).parent)
-        run_dir = sweep_root / f"{args.variable}={label}"
-        report = _run_and_write(rc, run_dir, f"{args.variable}={label}: ")
+        label = str(value)
+        name = f"{args.variable}={label}"
+        cfg = deep_merge(base, overrides.get(label, {}))
+        try:
+            edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
+            rc = build_plan(deep_merge(cfg, edit), base_dir=Path(args.config).parent)
+            report = _run_and_write(rc, sweep_root / name, f"{name}: ")
+        except (ConfigParseError, ConfigValidationError, PlanValidationError) as exc:
+            raise type(exc)(f"{name}: {exc}") from exc
         if isinstance(report, int):
             return report
         s = report.summary
         baseline = centralized_comparison(rc.plan, rc.centralized_epoch_time_s, s.total_sim_time_s)
         runs.append((label, s, baseline))
-        print(f"{args.variable}={label}: sim_time_s={s.total_sim_time_s!r}")
+        print(f"{name}: sim_time_s={s.total_sim_time_s!r}")
 
     comparison, *averages = write_sweep_tables(args.variable, runs, sweep_root)
     print(f"comparison written to {comparison}")

@@ -240,6 +240,21 @@ def _event(ev: dict, path: str) -> IntermittencyEvent | PartitionPlan:
     return _build(f"{path}.data", PartitionPlan, RANDOM_UNIFORM, 1, **split)
 
 
+def validate_clients(clients: Any) -> None:
+    """The ``clients`` rules: a nonempty list of {id, epoch_time_s}, ids unique."""
+    _check_type(clients, list, "clients")
+    if not clients:
+        raise ConfigValidationError("clients: at least one client is required")
+    seen_ids = set()
+    for i, cl in enumerate(clients):
+        _require(cl, f"clients[{i}]", {"id": int, "epoch_time_s": float})
+        _int_at_least(cl["id"], 0, f"clients[{i}].id")
+        _positive_number(cl["epoch_time_s"], f"clients[{i}].epoch_time_s")
+        if cl["id"] in seen_ids:
+            raise ConfigValidationError(f"clients[{i}].id: duplicate client id {cl['id']}")
+        seen_ids.add(cl["id"])
+
+
 def validate_config(raw: dict) -> dict:
     """Full schema walk; returns the config with defaults filled in."""
     _require(
@@ -317,16 +332,7 @@ def validate_config(raw: dict) -> dict:
     _check_items(part.get("positive_fractions", []), float, "data.partition.positive_fractions")
     _defaults(part, PartitionPlan, ("train_fraction",))
 
-    if not cfg["clients"]:
-        raise ConfigValidationError("clients: at least one client is required")
-    seen_ids = set()
-    for i, cl in enumerate(cfg["clients"]):
-        _require(cl, f"clients[{i}]", {"id": int, "epoch_time_s": float})
-        _int_at_least(cl["id"], 0, f"clients[{i}].id")
-        _positive_number(cl["epoch_time_s"], f"clients[{i}].epoch_time_s")
-        if cl["id"] in seen_ids:
-            raise ConfigValidationError(f"clients[{i}].id: duplicate client id {cl['id']}")
-        seen_ids.add(cl["id"])
+    validate_clients(cfg["clients"])
 
     events = cfg.setdefault("events", [])
     for i, ev in enumerate(events):
@@ -401,7 +407,7 @@ def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
 
 
 def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
-    order = rng_from(int(seed)).permutation(master.n)
+    order = rng_from(seed).permutation(master.n)
     n_test = max(1, round(float(fraction) * master.n))
     if n_test >= master.n:
         raise ConfigValidationError("data.global_test.fraction leaves no training data")

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Sequence
 
 from .aggregation import AggregateResult, Update, add_uniform_noise, plain_average, weighted_fedavg
@@ -189,9 +190,13 @@ class IntermittencyEvent:
     def __post_init__(self) -> None:
         if self.kind not in (LEAVE, JOIN, DELAY):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        if int(self.round_index) < 1:
+        for name in ("round_index", "client_id", "resume_round"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.round_index < 1:
             raise ValueError("event round must be >= 1")
-        if int(self.client_id) < 0:
+        if self.client_id < 0:
             raise ValueError("client_id must be >= 0")
         if self.kind == JOIN:
             if self.shard is None or self.epoch_time_s is None:
@@ -202,7 +207,7 @@ class IntermittencyEvent:
             if self.shard is not None or self.epoch_time_s is not None:
                 raise ValueError(f"a {self.kind} event takes no shard or epoch_time_s")
         if self.kind == DELAY:
-            if self.resume_round is None or int(self.resume_round) <= int(self.round_index):
+            if self.resume_round is None or self.resume_round <= self.round_index:
                 raise ValueError("a delay needs resume_round > round_index")
         elif self.resume_round is not None:
             raise ValueError(f"a {self.kind} event takes no resume_round")
@@ -392,7 +397,7 @@ def validate_plan(plan: SimPlan) -> Timeline:
                     active.discard(cid)
                     timeline.leaves.setdefault(r, []).append(ev)
             else:  # DELAY
-                resume = int(ev.resume_round)
+                resume = ev.resume_round
                 if cid not in active:
                     errors.append(f"round {r}: delay targets inactive client {cid}")
                 elif in_delay:

@@ -161,7 +161,7 @@ def make_synthetic(
     n0, n1 = (int(x) for x in n_per_class)
     if n0 < 0 or n1 < 0 or n0 + n1 < 1:
         raise ValueError("n_per_class must be nonnegative with at least one sample")
-    rng = rng_from(int(seed))
+    rng = rng_from(seed)
     d = mean0.size
     x0 = mean0 + scale * rng.standard_normal((n0, d))
     x1 = mean1 + scale * rng.standard_normal((n1, d))
@@ -217,11 +217,7 @@ def partition(master: Dataset, plan: PartitionPlan) -> list[ClientShard]:
     k = plan.client_count
     if master.n < 1:
         raise InfeasiblePartition("master dataset is empty")
-    if plan.mode == RANDOM_UNIFORM:
-        if master.n < k:
-            raise InfeasiblePartition(f"cannot cut {k} nonempty shards from {master.n} samples")
-        counts = _near_equal_counts(master.n, k)
-    elif plan.mode == LABEL_SKEW and plan.counts is None:
+    if plan.counts is None:  # random-uniform, or label-skew at near-equal sizes
         if master.n < k:
             raise InfeasiblePartition(f"cannot cut {k} nonempty shards from {master.n} samples")
         counts = _near_equal_counts(master.n, k)

@@ -137,6 +137,16 @@ def test_noise_support_bound_and_determinism():
         add_uniform_noise(base, 0.0, seed=1)
 
 
+def test_noise_seed_must_be_an_integer():
+    base = _pset(np.zeros(8))
+    assert np.array_equal(
+        add_uniform_noise(base, 0.5, seed=np.int64(3)).values,
+        add_uniform_noise(base, 0.5, seed=3).values,
+    )
+    with pytest.raises(TypeError):
+        add_uniform_noise(base, 0.5, seed=3.7)  # once the same noise as seed 3
+
+
 def test_noise_mean_obeys_clt_bound():
     # one million draws: |mean| stays within 4 sigma / sqrt(d)
     base = _pset(np.zeros(10**6))

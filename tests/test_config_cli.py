@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fedsim
@@ -14,6 +15,7 @@ from fedsim.cli import main
 from fedsim.config import (
     ConfigParseError,
     ConfigValidationError,
+    _holdout_split,
     build_plan,
     deep_merge,
     validate_config,
@@ -270,6 +272,16 @@ def test_holdout_global_test():
         shard_ids.update(c.shard.train.ids.tolist())
         shard_ids.update(c.shard.test.ids.tolist())
     assert shard_ids.isdisjoint(rc.plan.global_test.ids.tolist())
+
+
+def test_holdout_split_seed_must_be_an_integer():
+    master = make_synthetic([[0, 0], [1, 1]], 1.0, (10, 10), seed=1)
+    train, test = _holdout_split(master, 0.25, np.int64(4))
+    twin_train, twin_test = _holdout_split(master, 0.25, 4)
+    assert np.array_equal(train.ids, twin_train.ids)
+    assert np.array_equal(test.ids, twin_test.ids)
+    with pytest.raises(TypeError):
+        _holdout_split(master, 0.25, 4.5)
 
 
 def test_events_materialize():
@@ -550,6 +562,87 @@ def test_cli_sweep_value_parsing(tmp_path):
                  "--variable", "N_r", "--values", "two"]) == 3
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"),
                  "--variable", "policy", "--values", "drop-history"]) == 3
+
+
+def test_cli_sweep_applies_a_policy_override(tmp_path):
+    cfg = _base_cfg()
+    cfg["sweeps"] = {"policy": {"retain-last+exclude-until-current": {"rounds": 2}}}
+    out = tmp_path / "pol"
+    values = "drop-history+use-stale-accept-any,retain-last+exclude-until-current"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--variable", "policy", "--values", values]) == 0
+    rounds = {
+        v: json.loads((out / "sweep_policy" / f"policy={v}" / "summary.json").read_text())
+        ["config"]["rounds"]
+        for v in values.split(",")
+    }
+    assert rounds == {
+        "drop-history+use-stale-accept-any": 3,
+        "retain-last+exclude-until-current": 2,
+    }
+
+
+def test_cli_sweep_builds_one_plan_per_value_and_never_the_base(tmp_path, monkeypatch):
+    built = []
+
+    def recording_build_plan(cfg, base_dir="."):
+        built.append(cfg["rounds"])
+        return build_plan(cfg, base_dir)
+
+    monkeypatch.setattr(fedsim.cli, "build_plan", recording_build_plan)
+    assert main(["sweep", "--config", _write(tmp_path, _base_cfg()), "--out", str(tmp_path / "o"),
+                 "--variable", "N_r", "--values", "2,1"]) == 0
+    assert built == [1, 2]  # the base config has 3 rounds
+
+
+def test_cli_sweep_override_may_rely_on_the_swept_value(tmp_path):
+    """An override is checked together with its variable's edit, so it may
+    name rounds or clients that only the swept value creates."""
+    cfg = _base_cfg()
+    cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}, {"id": 1, "epoch_time_s": 2.0}]
+    cfg["data"]["partition"] = {"mode": "explicit-counts", "counts": [30, 30], "seed": 11}
+    cfg["sweeps"] = {
+        "N_r": {"5": {"roc_rounds": [5]}},
+        "client-count": {"3": {"data": {"partition": {"counts": [20, 20, 20]}}}},
+    }
+    cfg_path = _write(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--variable", "N_r", "--values", "5"]) == 0
+    assert (out / "sweep_N-r" / "N_r=5" / "roc_round5.csv").exists()
+    assert main(["sweep", "--config", cfg_path, "--out", str(out),
+                 "--variable", "client-count", "--values", "3"]) == 0
+
+
+@pytest.mark.parametrize(
+    "clients, where",
+    [
+        ("abc", "clients: expected list"),
+        (["a"], "clients[0]: expected an object"),
+        ([{"id": 1}], "clients[0].epoch_time_s: missing required key"),
+    ],
+)
+def test_cli_sweep_malformed_override_clients_are_a_parse_error(tmp_path, capsys, clients, where):
+    cfg = _base_cfg()
+    cfg["sweeps"] = {"client-count": {"3": {"clients": clients}}}
+    code = main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--variable", "client-count", "--values", "3"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"parse error: client-count=3: {where}")
+
+
+def test_cli_sweep_values_below_one_fail_the_config_rules(tmp_path, capsys):
+    for variable, message in (
+        ("N_r", "N_r=0: rounds: must be >= 1, got 0"),
+        ("client-count", "client-count=0: clients: at least one client is required"),
+    ):
+        cfg = _base_cfg()
+        cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}]
+        code = main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                     "--variable", variable, "--values=0,2"])
+        assert code == 3
+        assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_rejects_boolean_roc_rounds(tmp_path, capsys):

@@ -358,6 +358,21 @@ def test_event_dataclass_validation():
         IntermittencyEvent(2, "vanish", 1)
 
 
+def test_event_rounds_and_client_ids_must_be_integers():
+    # A leave at round 2.5 once passed validate_plan and then never fired.
+    for make in (
+        lambda: IntermittencyEvent.leave(2.5, 1),
+        lambda: IntermittencyEvent.leave(2, 1.0),
+        lambda: IntermittencyEvent.delay(2, 1, 3.5),
+        lambda: IntermittencyEvent.join(2, "9", _joiner_shard(9), 1.0),
+    ):
+        with pytest.raises(TypeError, match="must be an integer"):
+            make()
+    assert IntermittencyEvent.delay(np.int64(2), np.int32(1), np.uint8(4)) == (
+        IntermittencyEvent.delay(2, 1, 4)
+    )
+
+
 def test_validate_plan_rejects_bad_scripts():
     shard9 = _joiner_shard(9)
     cases = [

@@ -59,6 +59,15 @@ def test_make_synthetic_deterministic():
     assert np.array_equal(a.labels, b.labels)
 
 
+def test_make_synthetic_seed_must_be_an_integer():
+    a = make_synthetic([[0, 0], [1, 1]], 1.0, (6, 6), seed=np.uint32(2))
+    b = make_synthetic([[0, 0], [1, 1]], 1.0, (6, 6), seed=2)
+    assert np.array_equal(a.features, b.features)
+    assert np.array_equal(a.labels, b.labels)
+    with pytest.raises(TypeError):
+        make_synthetic([[0, 0], [1, 1]], 1.0, (6, 6), seed=2.9)  # once the data of seed 2
+
+
 def test_plan_validation():
     with pytest.raises(ValueError):
         PartitionPlan("pie-chart", 2)

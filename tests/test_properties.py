@@ -240,12 +240,81 @@ def _partition(mode, **lists):
 @example(("three_clients", ("clients", 0, "epoch_time_s"), math.inf))
 def test_mutated_demo_config_ends_in_a_documented_exit_code(mutation):
     stem, path, value = mutation
-    cfg = json.loads(json.dumps(DEMO_CONFIGS[stem]))
-    node = cfg
+    assert _main_on(_mutated(DEMO_CONFIGS[stem], path, value), ["run"]) in (0, 2, 3, 4, 5)
+
+
+def _mutated(node, path, value):
+    """A copy of ``node`` with the leaf at ``path`` set to ``value``."""
+    node = json.loads(json.dumps(node))
+    parent = node
     for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+        parent = parent[key]
+    parent[path[-1]] = value
+    return node
+
+
+def _main_on(cfg, argv):
+    """``fedsim <argv>`` on ``cfg`` written to a temporary file, writing
+    into a temporary directory; returns the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.json"
         config.write_text(json.dumps(cfg))
-        assert main(["run", "--config", str(config), "--out", str(Path(tmp) / "out")]) in (0, 2, 3, 4, 5)
+        return main(argv + ["--config", str(config), "--out", str(Path(tmp) / "out")])
+
+
+POLICY_VALUES = [
+    f"{departure}+{delay}"
+    for departure in ("drop-history", "retain-last")
+    for delay in ("use-stale-accept-any", "exclude-until-current")
+]
+# Swept integers stay small, so no value builds a large fleet or a long run.
+SWEEP_INTEGERS = st.integers(-2, 12)
+
+
+@st.composite
+def sweeps(draw):
+    """A demo config (its clients optionally given one epoch time, so a
+    client-count sweep can resize them), a variable, 1-3 values, and for some
+    values an override that sets one leaf of the config to a fuzz value."""
+    stem = draw(st.sampled_from(sorted(DEMO_CONFIGS)))
+    cfg = json.loads(json.dumps(DEMO_CONFIGS[stem]))
+    if draw(st.booleans()):
+        for client in cfg["clients"]:
+            client["epoch_time_s"] = 2.0
+    variable = draw(st.sampled_from(["client-count", "N_r", "policy"]))
+    if variable == "policy":
+        label = st.sampled_from(POLICY_VALUES + ["x+y"])
+    else:
+        label = SWEEP_INTEGERS.map(str)
+    labels = draw(st.lists(label, min_size=1, max_size=3, unique=True))
+    table = {}
+    for value in draw(st.lists(st.sampled_from(labels), unique=True)):
+        path = draw(st.sampled_from(list(_leaf_paths(cfg))))
+        leaf = draw(st.sampled_from(FUZZ_VALUES) | SWEEP_INTEGERS)
+        table[value] = {path[0]: _mutated(cfg, path, leaf)[path[0]]}
+    cfg["sweeps"] = {variable: table}
+    return cfg, variable, ",".join(labels)
+
+
+def _client_count_3(clients):
+    cfg = json.loads(json.dumps(DEMO_CONFIGS["ten_clients"]))
+    cfg["sweeps"] = {"client-count": {"3": {"clients": clients}}}
+    return cfg, "client-count", "3"
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(sweeps())
+# overrides that once ended in a traceback or were silently ignored
+@example(_client_count_3("abc"))
+@example(_client_count_3(["a"]))
+@example(_client_count_3([{"id": 1}]))
+@example((
+    {**DEMO_CONFIGS["delayed_update"],
+     "sweeps": {"policy": {"drop-history+use-stale-accept-any": {"rounds": 2}}}},
+    "policy",
+    "drop-history+use-stale-accept-any",
+))
+def test_fuzzed_sweep_ends_in_a_documented_exit_code(sweep):
+    cfg, variable, values = sweep
+    argv = ["sweep", "--variable", variable, f"--values={values}"]  # values may start with "-"
+    assert _main_on(cfg, argv) in (0, 2, 3, 4, 5)
