@@ -18,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ParameterSet
+from .rules import integer, positive
 from .seeding import rng_from
 
 
@@ -35,15 +36,9 @@ class Update:
     produced_round: int
 
     def __post_init__(self) -> None:
-        if int(self.client_id) < 0:
-            raise ValueError("client_id must be >= 0")
-        if int(self.n) < 1:
-            raise ValueError("an update must be backed by at least one sample")
-        if int(self.produced_round) < 0:
-            raise ValueError("produced_round must be >= 0")
-        object.__setattr__(self, "client_id", int(self.client_id))
-        object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "produced_round", int(self.produced_round))
+        object.__setattr__(self, "client_id", integer(self.client_id, "client_id"))
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
+        object.__setattr__(self, "produced_round", integer(self.produced_round, "produced_round"))
 
 
 @dataclass(frozen=True)
@@ -107,8 +102,6 @@ def add_uniform_noise(params: ParameterSet, amplitude: float, seed: int) -> Para
     Mean-zero, so averaging many independently noised copies of the same
     vector recovers the original.  Deterministic in ``seed``.
     """
-    a = float(amplitude)
-    if not (a > 0):
-        raise ValueError("noise amplitude must be > 0")
+    a = positive(amplitude, "noise amplitude")
     noise = rng_from(seed).uniform(-a, a, size=params.size)
     return params.with_values(params.values + noise)

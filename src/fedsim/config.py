@@ -7,17 +7,17 @@ ConfigParseError; values that are the right shape but make no sense
 (zero rounds, infeasible partitions, bad event scripts) raise
 ConfigValidationError.
 
-The keys of a section are the keyword arguments of the domain value it
-describes (``model`` is a ``ModelSpec``, ``train`` a ``TrainConfig``,
-``policy`` a ``PolicyConfig``, ``noise`` a ``NoiseConfig``,
-``data.partition`` and each join's ``data`` a ``PartitionPlan``, each
-leave or delay an ``IntermittencyEvent``), and that constructor owns the
-section's value rules and defaults.  ``validate_config`` builds these
-data-free values and reports a constructor's ValueError as
-"<section path>: <message>"; it checks by itself only what a config
-alone knows (a simulation trains at least one epoch at a positive
-learning rate, unique client ids, report formats, ROC rounds, dataset
-source shapes), and it raises every error before any data is read.
+The keys of a section are the keyword arguments of the domain value that
+owns its rules and defaults: ``model`` is a ``ModelSpec``, ``train`` a
+``TrainConfig``, ``policy`` a ``PolicyConfig``, ``noise`` a ``NoiseConfig``,
+``data.partition`` and each join's ``data`` a ``PartitionPlan``, each leave
+or delay an ``IntermittencyEvent``, and a synthetic source holds the
+``make_synthetic`` arguments that ``partition.synthetic_source`` checks.
+``validate_config`` builds these data-free, reporting a ValueError as
+"<section path>: <message>".  By itself it checks types, unique client
+ids, the aggregator, report formats, ROC rounds, the holdout fraction and,
+with the shared ``fedsim.rules``, the seed, rounds, client ids, epoch
+times, epochs >= 1 and learning rate > 0, all before any data is read.
 
 ``build_plan`` materializes datasets, cuts client shards and returns a
 SimPlan together with the reporting options.  The full resolved config
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import copy
 import json
-import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -54,7 +53,9 @@ from .partition import (
     partition,
     read_dataset_csv,
     relabel_shard,
+    synthetic_source,
 )
+from .rules import integer, positive
 from .seeding import rng_from
 
 SWEEP_VARIABLES = ("client-count", "N_r", "policy")
@@ -111,23 +112,12 @@ def _check_items(values: list, types: type | tuple, path: str) -> None:
         _check_type(value, types, f"{path}[{i}]")
 
 
-def _int_at_least(value: Any, floor: int, path: str) -> None:
-    _check_type(value, int, path)
-    if value < floor:
-        raise ConfigValidationError(f"{path}: must be >= {floor}, got {value}")
-
-
-def _finite(value: float) -> bool:
+def _rule(rule, value: Any, path: str, *args) -> None:
+    """A shared rule on a type-checked value; its ValueError reads "<path>: must be ..."."""
     try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _positive_number(value: Any, path: str) -> None:
-    _check_type(value, float, path)
-    if not (_finite(value) and value > 0):
-        raise ConfigValidationError(f"{path}: must be finite and > 0, got {value}")
+        rule(value, f"{path}:", *args)
+    except ValueError as exc:
+        raise ConfigValidationError(str(exc)) from exc
 
 
 def _defaults(obj: dict, cls: type, names: tuple[str, ...]) -> dict:
@@ -182,31 +172,16 @@ def _validate_source(obj: Any, path: str, allow_holdout: bool = False) -> None:
     required, optional = _SOURCE_KEYS[kind]
     _require(obj, path, required, optional)
     if kind == "synthetic":
-        means = obj["class_means"]
-        _check_items(means, list, f"{path}.class_means")
-        for i, mean in enumerate(means):
+        _check_items(obj["class_means"], list, f"{path}.class_means")
+        for i, mean in enumerate(obj["class_means"]):
             _check_items(mean, float, f"{path}.class_means[{i}]")
-            for j, x in enumerate(mean):
-                if not _finite(x):
-                    raise ConfigValidationError(f"{path}.class_means[{i}][{j}]: must be finite")
-        if len(means) != 2 or not all(means) or len(means[0]) != len(means[1]):
-            raise ConfigValidationError(
-                f"{path}.class_means: expected two nonempty vectors of equal length"
-            )
-        npc = obj["n_per_class"]
-        _check_items(npc, int, f"{path}.n_per_class")
-        if len(npc) != 2 or not all(x >= 0 for x in npc):
-            raise ConfigValidationError(f"{path}.n_per_class: expected two counts >= 0")
-        if sum(npc) < 1:
-            raise ConfigValidationError(f"{path}.n_per_class: needs at least one sample")
-        _int_at_least(obj["seed"], 0, f"{path}.seed")
-        if "cov_scale" in obj:
-            _positive_number(obj["cov_scale"], f"{path}.cov_scale")
+        _check_items(obj["n_per_class"], int, f"{path}.n_per_class")
+        _build(path, synthetic_source, *_synthetic_args(obj))
     elif kind == "holdout":
         frac = obj["fraction"]
         if not (0.0 < frac < 1.0):
             raise ConfigValidationError(f"{path}.fraction: must lie in (0, 1)")
-        _int_at_least(obj["seed"], 0, f"{path}.seed")
+        _rule(integer, obj["seed"], f"{path}.seed")
 
 
 def _domain_values(cfg: dict) -> dict:
@@ -248,8 +223,8 @@ def validate_clients(clients: Any) -> None:
     seen_ids = set()
     for i, cl in enumerate(clients):
         _require(cl, f"clients[{i}]", {"id": int, "epoch_time_s": float})
-        _int_at_least(cl["id"], 0, f"clients[{i}].id")
-        _positive_number(cl["epoch_time_s"], f"clients[{i}].epoch_time_s")
+        _rule(integer, cl["id"], f"clients[{i}].id")
+        _rule(positive, cl["epoch_time_s"], f"clients[{i}].epoch_time_s")
         if cl["id"] in seen_ids:
             raise ConfigValidationError(f"clients[{i}].id: duplicate client id {cl['id']}")
         seen_ids.add(cl["id"])
@@ -281,8 +256,8 @@ def validate_config(raw: dict) -> dict:
         },
     )
     cfg = copy.deepcopy(raw)
-    _int_at_least(cfg["seed"], 0, "seed")
-    _int_at_least(cfg["rounds"], 1, "rounds")
+    _rule(integer, cfg["seed"], "seed")
+    _rule(integer, cfg["rounds"], "rounds", 1)
 
     _require(
         cfg["model"],
@@ -298,8 +273,8 @@ def validate_config(raw: dict) -> dict:
         "train",
         {"epochs": int, "batch_size": int, "learning_rate": float},
     )
-    _int_at_least(cfg["train"]["epochs"], 1, "train.epochs")
-    _positive_number(cfg["train"]["learning_rate"], "train.learning_rate")
+    _rule(integer, cfg["train"]["epochs"], "train.epochs", 1)
+    _rule(positive, cfg["train"]["learning_rate"], "train.learning_rate")
 
     _defaults(cfg, SimPlan, ("aggregator",))
     if cfg["aggregator"] not in AGGREGATORS:
@@ -348,7 +323,7 @@ def validate_config(raw: dict) -> dict:
                 epath,
                 {"round": int, "kind": str, "client": int, "epoch_time_s": float, "data": dict},
             )
-            _positive_number(ev["epoch_time_s"], f"{epath}.epoch_time_s")
+            _rule(positive, ev["epoch_time_s"], f"{epath}.epoch_time_s")
             _require(
                 ev["data"],
                 f"{epath}.data",
@@ -376,7 +351,7 @@ def validate_config(raw: dict) -> dict:
             raise ConfigValidationError(f"roc_rounds: round {r!r} outside 1..{cfg['rounds']}")
 
     if "centralized_epoch_time_s" in cfg:
-        _positive_number(cfg["centralized_epoch_time_s"], "centralized_epoch_time_s")
+        _rule(positive, cfg["centralized_epoch_time_s"], "centralized_epoch_time_s")
 
     if "sweeps" in cfg:
         for var, table in cfg["sweeps"].items():
@@ -391,15 +366,15 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
+def _synthetic_args(obj: dict) -> tuple:
+    """A synthetic source's ``make_synthetic`` arguments, in order."""
+    return obj["class_means"], obj.get("cov_scale", 1.0), obj["n_per_class"], obj["seed"]
+
+
 def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
     try:
         if obj["type"] == "synthetic":
-            return make_synthetic(
-                obj["class_means"],
-                obj.get("cov_scale", 1.0),
-                tuple(obj["n_per_class"]),
-                obj["seed"],
-            )
+            return make_synthetic(*_synthetic_args(obj))
         return read_dataset_csv((base_dir / obj["path"]).resolve())
     except (OSError, ValueError) as exc:
         where = f"{path}.path" if obj["type"] == "csv" else path

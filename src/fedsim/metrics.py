@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .models import Dataset, ModelSpec, ParameterSet, bce_loss, forward
+from .rules import integer
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orchestrator import RunReport
@@ -42,8 +43,7 @@ class MetricSet:
             raise ValueError("accuracy must lie in [0, 1]")
         if not (0.0 <= self.auc <= 1.0):
             raise ValueError("auc must lie in [0, 1]")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
+        object.__setattr__(self, "n", integer(self.n, "n", 1))
 
 
 @dataclass(frozen=True)

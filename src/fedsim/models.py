@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rules import finite, integer
 from .seeding import rng_from
 
 LOGISTIC = "logistic-regression"
@@ -63,7 +64,7 @@ class ParameterSet:
     shapes: LayerShapes
 
     def __post_init__(self) -> None:
-        shapes = tuple((str(n), tuple(int(d) for d in dims)) for n, dims in self.shapes)
+        shapes = tuple((str(n), tuple(integer(d, "dim") for d in dims)) for n, dims in self.shapes)
         _adopt(np.array(self.values, dtype=np.float64, copy=True), shapes, into=self)
 
     @property
@@ -122,13 +123,11 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
-        if int(self.input_dim) < 1:
-            raise ValueError("input_dim must be >= 1")
-        object.__setattr__(self, "input_dim", int(self.input_dim))
+        object.__setattr__(self, "input_dim", integer(self.input_dim, "input_dim", 1))
         if self.kind == MLP:
-            if self.hidden_dim is None or int(self.hidden_dim) < 1:
+            if self.hidden_dim is None:
                 raise ValueError("mlp-1hidden requires hidden_dim >= 1")
-            object.__setattr__(self, "hidden_dim", int(self.hidden_dim))
+            object.__setattr__(self, "hidden_dim", integer(self.hidden_dim, "hidden_dim", 1))
             if self.activation not in ACTIVATIONS:
                 raise ValueError(
                     f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
@@ -211,19 +210,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if int(self.epochs) < 0:
-            raise ValueError("epochs must be >= 0")
-        if int(self.batch_size) < 1:
-            raise ValueError("batch_size must be >= 1")
-        lr = float(self.learning_rate)
-        if not math.isfinite(lr) or lr < 0:
-            raise ValueError("learning_rate must be finite and >= 0")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be >= 0")
-        object.__setattr__(self, "epochs", int(self.epochs))
-        object.__setattr__(self, "batch_size", int(self.batch_size))
+        object.__setattr__(self, "epochs", integer(self.epochs, "epochs"))
+        object.__setattr__(self, "batch_size", integer(self.batch_size, "batch_size", 1))
+        lr = finite(self.learning_rate, "learning_rate")
+        if lr < 0:
+            raise ValueError(f"learning_rate must be >= 0, got {lr}")
         object.__setattr__(self, "learning_rate", lr)
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
 
 
 def _fans(dims: tuple[int, ...]) -> tuple[int, int]:

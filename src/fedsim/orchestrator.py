@@ -44,15 +44,14 @@ round.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from numbers import Integral
 from typing import Sequence
 
 from .aggregation import AggregateResult, Update, add_uniform_noise, plain_average, weighted_fedavg
 from .metrics import MetricSet, RunSummary, evaluate, loss_accuracy, summarize
 from .models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from .partition import ClientShard
+from .rules import integer, positive
 from .seeding import derive_seed
 
 DROP_HISTORY = "drop-history"
@@ -155,8 +154,7 @@ class NoiseConfig:
     placement: str = "client"
 
     def __post_init__(self) -> None:
-        if not (0 < float(self.amplitude) < math.inf):
-            raise ValueError("noise amplitude must be finite and > 0")
+        positive(self.amplitude, "noise amplitude")
         if self.placement not in NOISE_PLACEMENTS:
             raise ValueError(f"unknown noise placement {self.placement!r}")
 
@@ -170,10 +168,8 @@ class ClientSetup:
     epoch_time_s: float
 
     def __post_init__(self) -> None:
-        if int(self.client_id) < 0:
-            raise ValueError("client_id must be >= 0")
-        if not (0 < float(self.epoch_time_s) < math.inf):
-            raise ValueError("epoch_time_s must be finite and > 0")
+        object.__setattr__(self, "client_id", integer(self.client_id, "client_id"))
+        positive(self.epoch_time_s, "epoch_time_s")
 
 
 @dataclass(frozen=True)
@@ -190,19 +186,14 @@ class IntermittencyEvent:
     def __post_init__(self) -> None:
         if self.kind not in (LEAVE, JOIN, DELAY):
             raise ValueError(f"unknown event kind {self.kind!r}")
-        for name in ("round_index", "client_id", "resume_round"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, Integral):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        if self.round_index < 1:
-            raise ValueError("event round must be >= 1")
-        if self.client_id < 0:
-            raise ValueError("client_id must be >= 0")
+        object.__setattr__(self, "round_index", integer(self.round_index, "round_index", 1))
+        object.__setattr__(self, "client_id", integer(self.client_id, "client_id"))
+        if self.resume_round is not None:
+            object.__setattr__(self, "resume_round", integer(self.resume_round, "resume_round"))
         if self.kind == JOIN:
             if self.shard is None or self.epoch_time_s is None:
                 raise ValueError("a join event needs a shard and an epoch_time_s")
-            if not (0 < float(self.epoch_time_s) < math.inf):
-                raise ValueError("epoch_time_s must be finite and > 0")
+            positive(self.epoch_time_s, "epoch_time_s")
         else:
             if self.shard is not None or self.epoch_time_s is not None:
                 raise ValueError(f"a {self.kind} event takes no shard or epoch_time_s")
@@ -330,17 +321,15 @@ class Timeline:
 def validate_plan(plan: SimPlan) -> Timeline:
     """Check the plan and compile its event script, round by round, into a Timeline."""
     errors: list[str] = []
-    if plan.n_rounds < 1:
-        errors.append("n_rounds must be >= 1")
+    try:
+        integer(plan.n_rounds, "n_rounds", 1)
+        integer(plan.seed, "seed")
+    except (TypeError, ValueError) as exc:  # events cannot be checked against a bad n_rounds
+        raise PlanValidationError(str(exc)) from exc
     if plan.train.epochs < 1:
         errors.append("train.epochs must be >= 1 for a simulation plan")
     if plan.aggregator not in AGGREGATORS:
         errors.append(f"unknown aggregator {plan.aggregator!r}")
-    try:
-        if operator.index(plan.seed) < 0:
-            errors.append("seed must be >= 0")
-    except TypeError:
-        errors.append(f"seed must be an integer, got {plan.seed!r}")
     if plan.global_test.n == 0:
         errors.append("global_test must be nonempty")
     elif len(set(plan.global_test.labels.tolist())) < 2:

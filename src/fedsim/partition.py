@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Dataset
+from .rules import finite, integer, positive
 from .seeding import rng_from
 
 EXPLICIT_COUNTS = "explicit-counts"
@@ -56,25 +57,21 @@ class PartitionPlan:
     def __post_init__(self) -> None:
         if self.mode not in PARTITION_MODES:
             raise ValueError(f"unknown partition mode {self.mode!r}")
-        k = int(self.client_count)
-        if k < 1:
-            raise ValueError("client_count must be >= 1")
+        k = integer(self.client_count, "client_count", 1)
         object.__setattr__(self, "client_count", k)
         if self.counts is not None:
-            counts = tuple(int(c) for c in self.counts)
+            counts = tuple(integer(c, f"counts[{i}]", 1) for i, c in enumerate(self.counts))
             if len(counts) != k:
                 raise ValueError("counts length must equal client_count")
-            if any(c < 1 for c in counts):
-                raise ValueError("every client count must be >= 1")
             object.__setattr__(self, "counts", counts)
         if self.positive_fractions is not None:
-            fracs = tuple(float(f) for f in self.positive_fractions)
+            fracs = tuple(finite(f, "positive fractions") for f in self.positive_fractions)
             if len(fracs) != k:
                 raise ValueError("positive_fractions length must equal client_count")
             if any(not (0.0 <= f <= 1.0) for f in fracs):
                 raise ValueError("positive fractions must lie in [0, 1]")
             object.__setattr__(self, "positive_fractions", fracs)
-        tf = float(self.train_fraction)
+        tf = finite(self.train_fraction, "train_fraction")
         if not (0.0 < tf <= 1.0):
             raise ValueError("train_fraction must lie in (0, 1]")
         object.__setattr__(self, "train_fraction", tf)
@@ -86,9 +83,7 @@ class PartitionPlan:
             raise ValueError("random-uniform mode takes neither counts nor positive_fractions")
         if self.mode == LABEL_SKEW and self.positive_fractions is None:
             raise ValueError("label-skew mode requires positive_fractions")
-        if int(self.seed) < 0:
-            raise ValueError("seed must be >= 0")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", integer(self.seed, "seed"))
 
 
 @dataclass(frozen=True)
@@ -100,6 +95,7 @@ class ClientShard:
     test: Dataset
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "client_id", integer(self.client_id, "client_id"))
         if self.train.n < 1:
             raise ValueError("a shard needs at least one training sample")
         if self.test.n and self.train.feature_dim != self.test.feature_dim:
@@ -139,6 +135,25 @@ class SkewReport:
         return "\n".join(lines)
 
 
+def synthetic_source(
+    class_means, class_cov_scale: float, n_per_class: tuple[int, int], seed: int
+) -> tuple[list[np.ndarray], float, tuple[int, int], int]:
+    """``make_synthetic``'s arguments, checked and normalised without drawing:
+    two nonempty, equal-length, finite float64 means, a finite scale > 0,
+    two class sizes >= 0 holding at least one sample, and a seed >= 0."""
+    means = [
+        np.array([finite(x, f"class_means[{i}][{j}]") for j, x in enumerate(np.ravel(m))])
+        for i, m in enumerate(class_means)
+    ]
+    if len(means) != 2 or means[0].shape != means[1].shape or means[0].size < 1:
+        raise ValueError("class_means must be two nonempty vectors of equal length")
+    scale = positive(class_cov_scale, "class_cov_scale")
+    sizes = tuple(integer(n, f"n_per_class[{i}]") for i, n in enumerate(n_per_class))
+    if len(sizes) != 2 or sum(sizes) < 1:
+        raise ValueError("n_per_class must be two class sizes holding at least one sample")
+    return means, scale, sizes, integer(seed, "seed")
+
+
 def make_synthetic(
     class_means: tuple[np.ndarray, np.ndarray] | list,
     class_cov_scale: float,
@@ -151,16 +166,9 @@ def make_synthetic(
     drawn with standard deviation ``class_cov_scale`` around them, then
     the rows are shuffled so labels are interleaved.  Ids are 0..n-1.
     """
-    mean0 = np.asarray(class_means[0], dtype=np.float64).ravel()
-    mean1 = np.asarray(class_means[1], dtype=np.float64).ravel()
-    if mean0.shape != mean1.shape or mean0.size < 1:
-        raise ValueError("class means must be nonempty vectors of equal length")
-    scale = float(class_cov_scale)
-    if not (scale > 0) or not math.isfinite(scale):
-        raise ValueError("class_cov_scale must be positive and finite")
-    n0, n1 = (int(x) for x in n_per_class)
-    if n0 < 0 or n1 < 0 or n0 + n1 < 1:
-        raise ValueError("n_per_class must be nonnegative with at least one sample")
+    (mean0, mean1), scale, (n0, n1), seed = synthetic_source(
+        class_means, class_cov_scale, n_per_class, seed
+    )
     rng = rng_from(seed)
     d = mean0.size
     x0 = mean0 + scale * rng.standard_normal((n0, d))
@@ -267,7 +275,7 @@ def partition(master: Dataset, plan: PartitionPlan) -> list[ClientShard]:
 
 def relabel_shard(shard: ClientShard, client_id: int) -> ClientShard:
     """Same data under a different client id."""
-    return replace(shard, client_id=int(client_id))
+    return replace(shard, client_id=client_id)
 
 
 def skew_report(shards: list[ClientShard]) -> SkewReport:

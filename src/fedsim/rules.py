@@ -1,0 +1,41 @@
+"""Field rules shared by the domain constructors and the config.
+
+Each rule checks one value, returns it normalised, and names the field
+when it raises: TypeError for the wrong kind of value, ValueError for
+one out of range.
+"""
+
+from __future__ import annotations
+
+import math
+from numbers import Integral
+
+
+def integer(value, name: str, floor: int = 0) -> int:
+    """``value`` as an ``int`` >= ``floor``: any Integral but bool, never truncated."""
+    if type(value) is not int:  # plain ints skip the slower ABC check
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if value < floor:
+        raise ValueError(f"{name} must be >= {floor}, got {value}")
+    return value
+
+
+def finite(value, name: str) -> float:
+    """``value`` as a finite ``float``; an int too large for a float is not one."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return x
+
+
+def positive(value, name: str) -> float:
+    """``value`` as a finite ``float`` > 0."""
+    x = finite(value, name)
+    if x <= 0:
+        raise ValueError(f"{name} must be > 0, got {value}")
+    return x

@@ -127,6 +127,16 @@ def test_semantic_validation():
         (lambda c: c["model"].update(kind="mlp-1hidden"), "model: mlp-1hidden requires hidden_dim"),
         (lambda c: c.update(events=_join(train_fraction=1.5)), r"events\[0\]\.data: train_fraction"),
         (lambda c: c.update(events=_join(seed=-1)), r"events\[0\]\.data: seed must be >= 0"),
+        (
+            lambda c: c["data"]["partition"].update(train_fraction=10**400),
+            r"data\.partition: train_fraction must be finite",
+        ),
+        (
+            lambda c: c["data"].update(
+                partition={"mode": "label-skew", "seed": 0, "positive_fractions": [0.5, -(10**400)]}
+            ),
+            r"data\.partition: positive fractions must be finite",
+        ),
         (lambda c: c["train"].update(learning_rate=float("inf")), r"train\.learning_rate"),
         (lambda c: c.update(noise={"amplitude": float("inf")}), "noise: noise amplitude"),
         (
@@ -140,7 +150,7 @@ def test_semantic_validation():
         ),
         (
             lambda c: c["data"]["source"]["class_means"][1].__setitem__(0, -(10**400)),
-            r"data\.source\.class_means\[1\]\[0\]: must be finite",
+            r"data\.source: class_means\[1\]\[0\] must be finite",
         ),
         (
             lambda c: c["data"].update(
@@ -150,25 +160,25 @@ def test_semantic_validation():
         ),
         (
             lambda c: c["data"]["source"]["class_means"][0].__setitem__(1, float("inf")),
-            r"data\.source\.class_means\[0\]\[1\]: must be finite",
+            r"data\.source: class_means\[0\]\[1\] must be finite",
         ),
         (
             lambda c: c["data"]["global_test"]["class_means"][1].__setitem__(0, float("nan")),
-            r"data\.global_test\.class_means\[1\]\[0\]: must be finite",
+            r"data\.global_test: class_means\[1\]\[0\] must be finite",
         ),
         (
             lambda c: c["data"]["source"]["class_means"][1].append(2),
-            r"data\.source\.class_means: expected two nonempty vectors of equal length",
+            r"data\.source: class_means must be two nonempty vectors of equal length",
         ),
         (
             lambda c: c.update(events=_join())
             or c["events"][0]["data"]["source"]["class_means"][1].__setitem__(0, float("-inf")),
-            r"events\[0\]\.data\.source\.class_means\[1\]\[0\]: must be finite",
+            r"events\[0\]\.data\.source: class_means\[1\]\[0\] must be finite",
         ),
         (
             lambda c: c.update(events=_join())
             or c["events"][0]["data"]["source"]["class_means"][0].pop(),
-            r"events\[0\]\.data\.source\.class_means: expected two nonempty vectors",
+            r"events\[0\]\.data\.source: class_means must be two nonempty vectors",
         ),
     ]:
         cfg = _base_cfg()

@@ -1,13 +1,17 @@
 """Round loop semantics: clock, membership events, policies, determinism."""
 
 import math
+import re
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 import fedsim.orchestrator
-from fedsim.models import ModelSpec, TrainConfig, init_params, train_local
+from fedsim.aggregation import Update, add_uniform_noise
+from fedsim.metrics import MetricSet
+from fedsim.models import ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from fedsim.orchestrator import (
     ClientSetup,
     DivergenceError,
@@ -358,19 +362,71 @@ def test_event_dataclass_validation():
         IntermittencyEvent(2, "vanish", 1)
 
 
-def test_event_rounds_and_client_ids_must_be_integers():
-    # A leave at round 2.5 once passed validate_plan and then never fired.
-    for make in (
-        lambda: IntermittencyEvent.leave(2.5, 1),
-        lambda: IntermittencyEvent.leave(2, 1.0),
-        lambda: IntermittencyEvent.delay(2, 1, 3.5),
-        lambda: IntermittencyEvent.join(2, "9", _joiner_shard(9), 1.0),
-    ):
-        with pytest.raises(TypeError, match="must be an integer"):
-            make()
+def _data_bytes(ds):
+    return ds.features.tobytes() + ds.labels.tobytes() + ds.ids.tobytes()
+
+
+def test_integer_fields_take_integers_only():
+    # A leave at round 2.5 once passed validate_plan and then never fired, and
+    # PartitionPlan("random-uniform", 2.7, seed=3.9) was a 2-client plan with seed 3.
+    shard, params, means = _joiner_shard(9), init_params(SPEC, 0), [[0, 0], [1, 1]]
+    fields = [  # (field, a legal value, build with the field at v, read the field back)
+        ("input_dim", 2, lambda v: ModelSpec("logistic-regression", v), attrgetter("input_dim")),
+        ("hidden_dim", 4, lambda v: ModelSpec("mlp-1hidden", 2, v), attrgetter("hidden_dim")),
+        ("epochs", 2, lambda v: TrainConfig(v, 8, 0.1), attrgetter("epochs")),
+        ("batch_size", 8, lambda v: TrainConfig(1, v, 0.1), attrgetter("batch_size")),
+        ("seed", 3, lambda v: TrainConfig(1, 8, 0.1, seed=v), attrgetter("seed")),
+        ("client_count", 2, lambda v: PartitionPlan("random-uniform", v),
+         attrgetter("client_count")),
+        ("counts[1]", 5, lambda v: PartitionPlan("explicit-counts", 2, counts=(4, v)),
+         lambda plan: plan.counts[1]),
+        ("seed", 3, lambda v: PartitionPlan("random-uniform", 2, seed=v), attrgetter("seed")),
+        ("client_id", 9, lambda v: ClientSetup(v, shard, 1.0), attrgetter("client_id")),
+        ("client_id", 9, lambda v: relabel_shard(shard, v), attrgetter("client_id")),
+        ("round_index", 2, lambda v: IntermittencyEvent.leave(v, 1), attrgetter("round_index")),
+        ("client_id", 9, lambda v: IntermittencyEvent.join(2, v, shard, 1.0),
+         attrgetter("client_id")),
+        ("resume_round", 4, lambda v: IntermittencyEvent.delay(2, 1, v),
+         attrgetter("resume_round")),
+        ("client_id", 1, lambda v: Update(v, params, 5, 0), attrgetter("client_id")),
+        ("n", 5, lambda v: Update(1, params, v, 0), attrgetter("n")),
+        ("produced_round", 3, lambda v: Update(1, params, 5, v), attrgetter("produced_round")),
+        ("n", 5, lambda v: MetricSet(0.5, 0.5, 0.5, v), attrgetter("n")),
+        ("dim", 3, lambda v: ParameterSet(np.zeros(3), (("w", (v,)),)),
+         lambda ps: ps.shapes[0][1][0]),
+        ("n_per_class[0]", 6, lambda v: make_synthetic(means, 1.0, (v, 6), seed=2), _data_bytes),
+        ("seed", 2, lambda v: make_synthetic(means, 1.0, (6, 6), seed=v), _data_bytes),
+    ]
+    for field, k, make, read in fields:
+        for bad in (2.5, True, "9"):
+            with pytest.raises(TypeError, match=re.escape(f"{field} must be an integer")):
+                make(bad)
+        got, want = read(make(np.int64(k))), read(make(k))
+        assert got == want and type(got) is type(want), field
     assert IntermittencyEvent.delay(np.int64(2), np.int32(1), np.uint8(4)) == (
         IntermittencyEvent.delay(2, 1, 4)
     )
+
+
+def test_positive_number_fields_must_be_finite():
+    shard, params, means = _joiner_shard(9), init_params(SPEC, 0), [[0, 0], [1, 1]]
+    not_positive = (math.inf, -math.inf, math.nan, 0, -1, 10**400)
+    fields = [  # (field, build with the field at v, values it rejects)
+        ("epoch_time_s", lambda v: ClientSetup(9, shard, v), not_positive),
+        ("epoch_time_s", lambda v: IntermittencyEvent.join(2, 9, shard, v), not_positive),
+        ("noise amplitude", lambda v: NoiseConfig(v), not_positive),
+        ("noise amplitude", lambda v: add_uniform_noise(params, v, 1), not_positive),
+        ("class_cov_scale", lambda v: make_synthetic(means, v, (6, 6), seed=2), not_positive),
+        # zero is a legal learning rate: training is then the identity
+        ("learning_rate", lambda v: TrainConfig(1, 8, v), (math.inf, math.nan, -1, 10**400)),
+    ]
+    for field, make, rejected in fields:
+        for bad in rejected:
+            with pytest.raises(ValueError, match=field):
+                make(bad)
+    # float fields are stored as given, so `fedsim validate` prints a config's 1 as 1
+    assert repr(ClientSetup(9, shard, 1).epoch_time_s) == "1"
+    assert repr(IntermittencyEvent.join(2, 9, shard, 1).epoch_time_s) == "1"
 
 
 def test_validate_plan_rejects_bad_scripts():
@@ -403,14 +459,19 @@ def test_validate_plan_basic_fields():
 
 
 def test_a_non_integer_plan_seed_is_a_plan_validation_error():
-    for seed in (3.7, 5.0, "5", None):
-        with pytest.raises(PlanValidationError, match="seed must be an integer"):
-            validate_plan(_plan(seed=seed))
-        with pytest.raises(PlanValidationError, match="seed must be an integer"):
-            run(_plan(seed=seed))
+    # n_rounds=2.5 once passed validate_plan, and run then died in range()
+    for field, bad in [("seed", v) for v in (3.7, 5.0, "5", None, True)] + [
+        ("n_rounds", v) for v in (2.5, 3.0, "3", None, True)
+    ]:
+        with pytest.raises(PlanValidationError, match=f"{field} must be an integer"):
+            validate_plan(_plan(**{field: bad}))
+        with pytest.raises(PlanValidationError, match=f"{field} must be an integer"):
+            run(_plan(**{field: bad}))
     with pytest.raises(PlanValidationError, match="seed must be >= 0"):
         validate_plan(_plan(seed=-1))
-    validate_plan(_plan(seed=np.int64(5)))
+    with pytest.raises(PlanValidationError, match="n_rounds must be >= 1"):
+        validate_plan(_plan(n_rounds=0))
+    validate_plan(_plan(seed=np.int64(5), n_rounds=np.int64(3)))
 
 
 def test_sequential_delays_on_one_client_are_legal():

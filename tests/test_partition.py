@@ -1,5 +1,8 @@
 """Sharding: disjointness, conservation, engineered label skew, CSV round-trip."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 
@@ -60,12 +63,36 @@ def test_make_synthetic_deterministic():
 
 
 def test_make_synthetic_seed_must_be_an_integer():
-    a = make_synthetic([[0, 0], [1, 1]], 1.0, (6, 6), seed=np.uint32(2))
+    a = make_synthetic([[0, 0], [1, 1]], 1.0, (np.int64(6), np.uint8(6)), seed=np.uint32(2))
     b = make_synthetic([[0, 0], [1, 1]], 1.0, (6, 6), seed=2)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.labels, b.labels)
     with pytest.raises(TypeError):
         make_synthetic([[0, 0], [1, 1]], 1.0, (6, 6), seed=2.9)  # once the data of seed 2
+
+
+def test_make_synthetic_checks_its_source_before_drawing(monkeypatch):
+    def no_draw(*parts):
+        raise AssertionError("drew before checking the source")
+
+    # the package's ``partition`` attribute is the function, not this module
+    monkeypatch.setattr(importlib.import_module("fedsim.partition"), "rng_from", no_draw)
+    two = [[0.0, 0.0], [1.0, 1.0]]
+    for means, scale, sizes, message in [
+        (two + [[2.0, 2.0]], 1.0, (6, 6), r"class_means must be two nonempty vectors"),
+        (two[:1], 1.0, (6, 6), r"class_means must be two nonempty vectors"),
+        ([[0.0, 0.0], [1.0]], 1.0, (6, 6), r"class_means must be two nonempty vectors"),
+        ([[], []], 1.0, (6, 6), r"class_means must be two nonempty vectors"),
+        ([[0.0, 0.0], [math.nan, 1.0]], 1.0, (6, 6), r"class_means\[1\]\[0\] must be finite"),
+        ([[0.0, -math.inf], [1.0, 1.0]], 1.0, (6, 6), r"class_means\[0\]\[1\] must be finite"),
+        ([[0.0, 10**400], [1.0, 1.0]], 1.0, (6, 6), r"class_means\[0\]\[1\] must be finite"),
+        (two, 1.0, (6, 6, 6), r"n_per_class must be two class sizes"),
+        (two, 1.0, (6,), r"n_per_class must be two class sizes"),
+        (two, 1.0, (0, 0), r"n_per_class must be two class sizes holding at least one sample"),
+        (two, 1.0, (6, -1), r"n_per_class\[1\] must be >= 0"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            make_synthetic(means, scale, sizes, seed=1)
 
 
 def test_plan_validation():
