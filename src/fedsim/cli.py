@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 config parse error, 3 validation error,
 4 policy starvation at runtime, 5 a client's training diverged (non-finite
 parameters).  Runs that stop with 4 or 5 still write the completed rounds
 to rounds.csv and events.log.  The output directory resolves in the
-order --out flag, config output_dir, FEDSIM_OUT environment variable.
+order --out flag, config output_dir, FEDSIM_OUT environment variable, and
+must lie under a writable directory.
 --seed and --format are edits to the config before it is validated.
 
 A sweep validates the base config without building it.  Each value runs the
@@ -91,16 +92,22 @@ def _edited_config(args: argparse.Namespace) -> dict:
 
 
 def _resolve_out(args: argparse.Namespace, output_dir: str | None) -> Path:
+    """The output directory, refused before anything runs unless its nearest
+    existing ancestor is a writable directory."""
     if args.out:
-        return Path(args.out)
-    if output_dir:
-        return Path(args.config).parent / output_dir
-    env = os.environ.get("FEDSIM_OUT")
-    if env:
-        return Path(env)
-    raise ConfigValidationError(
-        "no output directory: set output_dir in the config, pass --out, or export FEDSIM_OUT"
-    )
+        source, out = "--out", Path(args.out)
+    elif output_dir:
+        source, out = "output_dir", Path(args.config).parent / output_dir
+    elif os.environ.get("FEDSIM_OUT"):
+        source, out = "FEDSIM_OUT", Path(os.environ["FEDSIM_OUT"])
+    else:
+        raise ConfigValidationError(
+            "no output directory: set output_dir in the config, pass --out, or export FEDSIM_OUT"
+        )
+    base = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not (base.is_dir() and os.access(base, os.W_OK | os.X_OK)):
+        raise ConfigValidationError(f"{source}: cannot write {out}: {base} is not a writable directory")
+    return out
 
 
 def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport | int:

@@ -15,9 +15,12 @@ or delay an ``IntermittencyEvent``, and a synthetic source holds the
 ``make_synthetic`` arguments that ``partition.synthetic_source`` checks.
 ``validate_config`` builds these data-free, reporting a ValueError as
 "<section path>: <message>".  By itself it checks types, unique client
-ids, the aggregator, report formats, ROC rounds, the holdout fraction and,
-with the shared ``fedsim.rules``, the seed, rounds, client ids, epoch
-times, epochs >= 1 and learning rate > 0, all before any data is read.
+ids, ROC rounds and the holdout fraction and, with the shared
+``fedsim.rules``, the seed, rounds, client ids, epoch times, epochs >= 1,
+learning rate > 0 and the named options (aggregator, report formats,
+source types, event kinds, sweep variables), all before any data is read.
+A source type, event kind or sweep variable picks a schema, so a bad one
+is a ConfigParseError.
 
 ``build_plan`` materializes datasets, cuts client shards and returns a
 SimPlan together with the reporting options.  The full resolved config
@@ -55,7 +58,7 @@ from .partition import (
     relabel_shard,
     synthetic_source,
 )
-from .rules import integer, positive
+from .rules import choice, integer, positive
 from .seeding import rng_from
 
 SWEEP_VARIABLES = ("client-count", "N_r", "policy")
@@ -83,19 +86,18 @@ class RunConfig:
 
 
 def _require(obj: dict, path: str, required: dict[str, type | tuple], optional: dict | None = None) -> None:
-    optional = optional or {}
     if not isinstance(obj, dict):
         raise ConfigParseError(f"{path or 'config'}: expected an object")
+    schema, prefix = {**required, **(optional or {})}, f"{path}." if path else ""
     for key in obj:
-        if key not in required and key not in optional:
-            raise ConfigParseError(f"{path + '.' if path else ''}{key}: unknown key")
-    for key, types in required.items():
+        if key not in schema:
+            raise ConfigParseError(f"{prefix}{key}: unknown key")
+    for key in required:
         if key not in obj:
-            raise ConfigParseError(f"{path + '.' if path else ''}{key}: missing required key")
-        _check_type(obj[key], types, f"{path + '.' if path else ''}{key}")
-    for key, types in optional.items():
+            raise ConfigParseError(f"{prefix}{key}: missing required key")
+    for key, types in schema.items():
         if key in obj:
-            _check_type(obj[key], types, f"{path + '.' if path else ''}{key}")
+            _check_type(obj[key], types, prefix + key)
 
 
 def _check_type(value: Any, types: type | tuple, path: str) -> None:
@@ -112,12 +114,20 @@ def _check_items(values: list, types: type | tuple, path: str) -> None:
         _check_type(value, types, f"{path}[{i}]")
 
 
-def _rule(rule, value: Any, path: str, *args) -> None:
+def _rule(rule, value: Any, path: str, *args, error: type = ConfigValidationError) -> None:
     """A shared rule on a type-checked value; its ValueError reads "<path>: must be ..."."""
     try:
         rule(value, f"{path}:", *args)
     except ValueError as exc:
-        raise ConfigValidationError(str(exc)) from exc
+        raise error(str(exc)) from exc
+
+
+def _kind(obj: Any, path: str, key: str, kinds: tuple) -> str:
+    """The ``key`` that picks an object's schema; a bad one is structural."""
+    if not isinstance(obj, dict):
+        raise ConfigParseError(f"{path}: expected an object")
+    _rule(choice, obj.get(key), f"{path}.{key}", kinds, error=ConfigParseError)
+    return obj[key]
 
 
 def _defaults(obj: dict, cls: type, names: tuple[str, ...]) -> dict:
@@ -141,12 +151,12 @@ def load_config_file(path: str | Path) -> dict:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # also an int past the digit limit, deep nesting
+        raise ConfigParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top level must be a JSON object")
     return raw
@@ -162,13 +172,15 @@ _SOURCE_KEYS = {
 }
 
 
+_EVENT_KEYS = {
+    LEAVE: {"round": int, "kind": str, "client": int},
+    JOIN: {"round": int, "kind": str, "client": int, "epoch_time_s": float, "data": dict},
+    DELAY: {"round": int, "kind": str, "client": int, "resume_round": int},
+}
+
+
 def _validate_source(obj: Any, path: str, allow_holdout: bool = False) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigParseError(f"{path}: expected an object")
-    kind = obj.get("type")
-    kinds = ("synthetic", "csv") + (("holdout",) if allow_holdout else ())
-    if kind not in kinds:
-        raise ConfigParseError(f"{path}.type: expected one of {kinds}, got {kind!r}")
+    kind = _kind(obj, path, "type", ("synthetic", "csv") + (("holdout",) if allow_holdout else ()))
     required, optional = _SOURCE_KEYS[kind]
     _require(obj, path, required, optional)
     if kind == "synthetic":
@@ -235,14 +247,7 @@ def validate_config(raw: dict) -> dict:
     _require(
         raw,
         "",
-        {
-            "seed": int,
-            "rounds": int,
-            "model": dict,
-            "train": dict,
-            "data": dict,
-            "clients": list,
-        },
+        {"seed": int, "rounds": int, "model": dict, "train": dict, "data": dict, "clients": list},
         {
             "aggregator": str,
             "policy": dict,
@@ -268,19 +273,12 @@ def validate_config(raw: dict) -> dict:
 
     # Shuffle seeds always derive from the top-level seed, so a train.seed
     # key is a mistake and gets rejected by the unknown-key rule.
-    _require(
-        cfg["train"],
-        "train",
-        {"epochs": int, "batch_size": int, "learning_rate": float},
-    )
+    _require(cfg["train"], "train", {"epochs": int, "batch_size": int, "learning_rate": float})
     _rule(integer, cfg["train"]["epochs"], "train.epochs", 1)
     _rule(positive, cfg["train"]["learning_rate"], "train.learning_rate")
 
     _defaults(cfg, SimPlan, ("aggregator",))
-    if cfg["aggregator"] not in AGGREGATORS:
-        raise ConfigValidationError(
-            f"aggregator: expected one of {AGGREGATORS}, got {cfg['aggregator']!r}"
-        )
+    _rule(choice, cfg["aggregator"], "aggregator", AGGREGATORS)
 
     policy = cfg.setdefault("policy", {})
     _require(policy, "policy", {}, {"departure": str, "delay": str, "delay_resume_same_round": bool})
@@ -312,17 +310,9 @@ def validate_config(raw: dict) -> dict:
     events = cfg.setdefault("events", [])
     for i, ev in enumerate(events):
         epath = f"events[{i}]"
-        if not isinstance(ev, dict):
-            raise ConfigParseError(f"{epath}: expected an object")
-        kind = ev.get("kind")
-        if kind == LEAVE:
-            _require(ev, epath, {"round": int, "kind": str, "client": int})
-        elif kind == JOIN:
-            _require(
-                ev,
-                epath,
-                {"round": int, "kind": str, "client": int, "epoch_time_s": float, "data": dict},
-            )
+        kind = _kind(ev, epath, "kind", tuple(_EVENT_KEYS))
+        _require(ev, epath, _EVENT_KEYS[kind])
+        if kind == JOIN:
             _rule(positive, ev["epoch_time_s"], f"{epath}.epoch_time_s")
             _require(
                 ev["data"],
@@ -332,15 +322,10 @@ def validate_config(raw: dict) -> dict:
             )
             _validate_source(ev["data"]["source"], f"{epath}.data.source")
             _defaults(ev["data"], PartitionPlan, ("train_fraction", "seed"))
-        elif kind == DELAY:
-            _require(ev, epath, {"round": int, "kind": str, "client": int, "resume_round": int})
-        else:
-            raise ConfigParseError(f"{epath}.kind: expected {LEAVE}/{JOIN}/{DELAY}, got {kind!r}")
 
     cfg.setdefault("report_formats", list(REPORT_FORMATS))
-    for fmt in cfg["report_formats"]:
-        if fmt not in REPORT_FORMATS:
-            raise ConfigValidationError(f"report_formats: unknown format {fmt!r}")
+    for i, fmt in enumerate(cfg["report_formats"]):
+        _rule(choice, fmt, f"report_formats[{i}]", REPORT_FORMATS)
     if not cfg["report_formats"]:
         raise ConfigValidationError("report_formats: at least one format is required")
 
@@ -355,8 +340,7 @@ def validate_config(raw: dict) -> dict:
 
     if "sweeps" in cfg:
         for var, table in cfg["sweeps"].items():
-            if var not in SWEEP_VARIABLES:
-                raise ConfigParseError(f"sweeps.{var}: unknown sweep variable")
+            _rule(choice, var, f"sweeps.{var}", SWEEP_VARIABLES, error=ConfigParseError)
             if not isinstance(table, dict):
                 raise ConfigParseError(f"sweeps.{var}: expected an object keyed by value")
             for value, override in table.items():

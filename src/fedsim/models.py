@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import finite, integer
+from .rules import choice, finite, integer
 from .seeding import rng_from
 
 LOGISTIC = "logistic-regression"
@@ -121,17 +121,13 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self) -> None:
-        if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {self.kind!r}; expected one of {MODEL_KINDS}")
+        choice(self.kind, "kind", MODEL_KINDS)
         object.__setattr__(self, "input_dim", integer(self.input_dim, "input_dim", 1))
         if self.kind == MLP:
             if self.hidden_dim is None:
                 raise ValueError("mlp-1hidden requires hidden_dim >= 1")
             object.__setattr__(self, "hidden_dim", integer(self.hidden_dim, "hidden_dim", 1))
-            if self.activation not in ACTIVATIONS:
-                raise ValueError(
-                    f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}"
-                )
+            choice(self.activation, "activation", ACTIVATIONS)
         elif self.hidden_dim is not None:
             raise ValueError("logistic-regression takes no hidden_dim")
 

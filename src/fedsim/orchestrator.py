@@ -51,7 +51,7 @@ from .aggregation import AggregateResult, Update, add_uniform_noise, plain_avera
 from .metrics import MetricSet, RunSummary, evaluate, loss_accuracy, summarize
 from .models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from .partition import ClientShard
-from .rules import integer, positive
+from .rules import choice, integer, positive
 from .seeding import derive_seed
 
 DROP_HISTORY = "drop-history"
@@ -136,10 +136,12 @@ class PolicyConfig:
     delay_resume_same_round: bool = True
 
     def __post_init__(self) -> None:
-        if self.departure not in DEPARTURE_POLICIES:
-            raise ValueError(f"unknown departure policy {self.departure!r}")
-        if self.delay not in DELAY_POLICIES:
-            raise ValueError(f"unknown delay policy {self.delay!r}")
+        choice(self.departure, "departure", DEPARTURE_POLICIES)
+        choice(self.delay, "delay", DELAY_POLICIES)
+        if not isinstance(self.delay_resume_same_round, bool):
+            raise TypeError(
+                f"delay_resume_same_round must be a bool, got {self.delay_resume_same_round!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -155,8 +157,7 @@ class NoiseConfig:
 
     def __post_init__(self) -> None:
         positive(self.amplitude, "noise amplitude")
-        if self.placement not in NOISE_PLACEMENTS:
-            raise ValueError(f"unknown noise placement {self.placement!r}")
+        choice(self.placement, "placement", NOISE_PLACEMENTS)
 
 
 @dataclass(frozen=True)
@@ -184,8 +185,7 @@ class IntermittencyEvent:
     resume_round: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (LEAVE, JOIN, DELAY):
-            raise ValueError(f"unknown event kind {self.kind!r}")
+        choice(self.kind, "kind", (LEAVE, JOIN, DELAY))
         object.__setattr__(self, "round_index", integer(self.round_index, "round_index", 1))
         object.__setattr__(self, "client_id", integer(self.client_id, "client_id"))
         if self.resume_round is not None:
@@ -324,12 +324,10 @@ def validate_plan(plan: SimPlan) -> Timeline:
     try:
         integer(plan.n_rounds, "n_rounds", 1)
         integer(plan.seed, "seed")
-    except (TypeError, ValueError) as exc:  # events cannot be checked against a bad n_rounds
+        integer(plan.train.epochs, "train.epochs", 1)
+        choice(plan.aggregator, "aggregator", AGGREGATORS)
+    except (TypeError, ValueError) as exc:  # raised at once: events are read against n_rounds
         raise PlanValidationError(str(exc)) from exc
-    if plan.train.epochs < 1:
-        errors.append("train.epochs must be >= 1 for a simulation plan")
-    if plan.aggregator not in AGGREGATORS:
-        errors.append(f"unknown aggregator {plan.aggregator!r}")
     if plan.global_test.n == 0:
         errors.append("global_test must be nonempty")
     elif len(set(plan.global_test.labels.tolist())) < 2:

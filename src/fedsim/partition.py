@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Dataset
-from .rules import finite, integer, positive
+from .rules import choice, finite, integer, positive
 from .seeding import rng_from
 
 EXPLICIT_COUNTS = "explicit-counts"
@@ -55,8 +55,7 @@ class PartitionPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in PARTITION_MODES:
-            raise ValueError(f"unknown partition mode {self.mode!r}")
+        choice(self.mode, "mode", PARTITION_MODES)
         k = integer(self.client_count, "client_count", 1)
         object.__setattr__(self, "client_count", k)
         if self.counts is not None:
@@ -141,8 +140,8 @@ def synthetic_source(
     """``make_synthetic``'s arguments, checked and normalised without drawing:
     two nonempty, equal-length, finite float64 means, a finite scale > 0,
     two class sizes >= 0 holding at least one sample, and a seed >= 0."""
-    means = [
-        np.array([finite(x, f"class_means[{i}][{j}]") for j, x in enumerate(np.ravel(m))])
+    means = [  # an object array keeps each entry as given, so no bool is read as 1
+        np.array([finite(x, f"class_means[{i}][{j}]") for j, x in enumerate(np.array(m, object).flat)])
         for i, m in enumerate(class_means)
     ]
     if len(means) != 2 or means[0].shape != means[1].shape or means[0].size < 1:

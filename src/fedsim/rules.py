@@ -2,13 +2,13 @@
 
 Each rule checks one value, returns it normalised, and names the field
 when it raises: TypeError for the wrong kind of value, ValueError for
-one out of range.
+one out of range or not among the field's options.
 """
 
 from __future__ import annotations
 
 import math
-from numbers import Integral
+from numbers import Integral, Real
 
 
 def integer(value, name: str, floor: int = 0) -> int:
@@ -23,7 +23,10 @@ def integer(value, name: str, floor: int = 0) -> int:
 
 
 def finite(value, name: str) -> float:
-    """``value`` as a finite ``float``; an int too large for a float is not one."""
+    """``value`` as a finite ``float``: any Real but bool; an int too large
+    for a float is not finite."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, Real)):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
@@ -39,3 +42,10 @@ def positive(value, name: str) -> float:
     if x <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return x
+
+
+def choice(value, name: str, options: tuple):
+    """``value`` if one of ``options``, a tuple, so an unhashable value is refused too."""
+    if value not in options:
+        raise ValueError(f"{name} must be one of {options}, got {value!r}")
+    return value

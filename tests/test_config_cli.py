@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -180,11 +182,90 @@ def test_semantic_validation():
             or c["events"][0]["data"]["source"]["class_means"][0].pop(),
             r"events\[0\]\.data\.source: class_means must be two nonempty vectors",
         ),
+        # a name outside its options: the section path, then every option
+        (
+            lambda c: c.update(policy={"departure": "retain"}),
+            "^" + re.escape("policy: departure must be one of ('drop-history', 'retain-last'), "
+                            "got 'retain'"),
+        ),
+        (
+            lambda c: c.update(noise={"amplitude": 0.1, "placement": "edge"}),
+            "^" + re.escape("noise: placement must be one of ('client', 'server'), got 'edge'"),
+        ),
+        (
+            lambda c: c["data"]["partition"].update(mode="dirichlet"),
+            "^" + re.escape("data.partition: mode must be one of ('explicit-counts', "
+                            "'random-uniform', 'label-skew'), got 'dirichlet'"),
+        ),
+        (
+            lambda c: c["model"].update(kind="mlp-1hidden", hidden_dim=4, activation="tanh"),
+            "^" + re.escape("model: activation must be one of ('relu', 'sigmoid'), got 'tanh'"),
+        ),
+        (
+            lambda c: c.update(aggregator="median"),
+            "^" + re.escape("aggregator: must be one of ('weighted', 'plain'), got 'median'"),
+        ),
+        (
+            lambda c: c.update(report_formats=["csv", "yaml"]),
+            "^" + re.escape("report_formats[1]: must be one of ('csv', 'json'), got 'yaml'"),
+        ),
     ]:
         cfg = _base_cfg()
         mutate(cfg)
         with pytest.raises(ConfigValidationError, match=fragment):
             validate_config(cfg)
+
+
+def test_named_options_take_only_their_options():
+    # 7 of these 10 rules once said only "unknown ...", without the options
+    plan = build_plan(_base_cfg()).plan
+    shard = plan.clients[0].shard
+
+    def config_with(edit):
+        def make(v):
+            cfg = _base_cfg()
+            edit(cfg, v)
+            validate_config(cfg)
+        return make
+
+    names = ("Weighted", None, [])
+    rows = [  # (name in the message, its options, build with the name at v, values tried)
+        ("kind", ("logistic-regression", "mlp-1hidden"), lambda v: fedsim.ModelSpec(v, 2), names),
+        ("activation", ("relu", "sigmoid"),
+         lambda v: fedsim.ModelSpec("mlp-1hidden", 2, 4, activation=v), names),
+        ("departure", ("drop-history", "retain-last"),
+         lambda v: fedsim.PolicyConfig(departure=v), names),
+        ("delay", ("use-stale-accept-any", "exclude-until-current"),
+         lambda v: fedsim.PolicyConfig(delay=v), names),
+        ("placement", ("client", "server"), lambda v: fedsim.NoiseConfig(0.1, v), names),
+        ("kind", ("leave", "join", "delay"),
+         lambda v: fedsim.IntermittencyEvent(2, v, 1, shard=shard, epoch_time_s=1.0), names),
+        ("aggregator", ("weighted", "plain"),
+         lambda v: fedsim.validate_plan(replace(plan, aggregator=v)), names),
+        ("mode", ("explicit-counts", "random-uniform", "label-skew"),
+         lambda v: fedsim.PartitionPlan(v, 2), names),
+        # the config type-checks the aggregator first, so only a string reaches the rule
+        ("aggregator:", ("weighted", "plain"),
+         config_with(lambda c, v: c.update(aggregator=v)), ("Weighted",)),
+        ("report_formats[1]:", ("csv", "json"),
+         config_with(lambda c, v: c.update(report_formats=["json", v])), names),
+        # these pick a schema, so a bad one is a parse error
+        ("events[0].kind:", ("leave", "join", "delay"),
+         config_with(lambda c, v: c.update(events=[{"round": 2, "kind": v, "client": 0}])), names),
+        ("data.global_test.type:", ("synthetic", "csv", "holdout"),
+         config_with(lambda c, v: c["data"]["global_test"].update(type=v)), names),
+    ]
+    for name, options, make, bads in rows:
+        for bad in bads:
+            with pytest.raises(ValueError) as info:
+                make(bad)
+            assert f"{name} must be one of {options}, got {bad!r}" in str(info.value), name
+    cfg = _base_cfg()
+    cfg["sweeps"] = {"grid": {}}
+    with pytest.raises(ConfigParseError, match=re.escape(
+        "sweeps.grid: must be one of ('client-count', 'N_r', 'policy'), got 'grid'"
+    )):
+        validate_config(cfg)
 
 
 def test_list_elements_are_type_checked():
@@ -412,9 +493,54 @@ def test_cli_seed_and_format_errors_name_the_config_keys(tmp_path, capsys):
     assert main(["validate", "--config", cfg_path, "--seed", "-3"]) == 3
     assert "seed: must be >= 0, got -3" in capsys.readouterr().err
     assert main(["validate", "--config", cfg_path, "--format", "csv,yaml"]) == 3
-    assert "report_formats: unknown format 'yaml'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "validation error: report_formats[1]: must be one of ('csv', 'json'), got 'yaml'\n"
+    )
     assert main(["validate", "--config", cfg_path, "--format", " , "]) == 3
     assert "report_formats: at least one format is required" in capsys.readouterr().err
+
+
+def test_cli_oversized_integer_literal_is_a_parse_error(tmp_path, capsys):
+    # json.dumps refuses an int past Python's digit limit, so the literal is written by hand
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(_base_cfg()).replace('"rounds": 3', '"rounds": ' + "9" * 5001))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"parse error: {path}: invalid JSON: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["sweep", "--variable", "N_r", "--values", "2"],
+], ids=["run", "sweep"])
+def test_cli_rejects_an_unwritable_output_path_before_running(
+    tmp_path, capsys, monkeypatch, command
+):
+    def no_run(plan):
+        raise AssertionError("the simulation ran")
+
+    monkeypatch.setattr("fedsim.cli.run", no_run)
+    monkeypatch.delenv("FEDSIM_OUT", raising=False)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = _base_cfg()
+    cfg_path = _write(tmp_path, cfg)
+    cases = [  # (where the path came from, the path, the extra CLI arguments)
+        ("--out", blocker / "x", ["--out", str(blocker / "x")]),
+        ("--out", blocker, ["--out", str(blocker)]),
+        ("FEDSIM_OUT", blocker / "x" / "y", []),
+        ("output_dir", blocker / "z", []),
+    ]
+    for source, out, extra in cases:
+        if source == "FEDSIM_OUT":
+            monkeypatch.setenv("FEDSIM_OUT", str(out))
+        if source == "output_dir":
+            cfg["output_dir"] = "file/z"
+            cfg_path = _write(tmp_path, cfg)
+        assert main([command[0], "--config", cfg_path, *extra, *command[1:]]) == 3
+        assert capsys.readouterr().err == (
+            f"validation error: {source}: cannot write {out}: {blocker} is not a writable "
+            "directory\n"
+        )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
 def test_cli_starvation_keeps_partial_results(tmp_path):

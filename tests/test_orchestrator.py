@@ -419,11 +419,26 @@ def test_positive_number_fields_must_be_finite():
         ("class_cov_scale", lambda v: make_synthetic(means, v, (6, 6), seed=2), not_positive),
         # zero is a legal learning rate: training is then the identity
         ("learning_rate", lambda v: TrainConfig(1, 8, v), (math.inf, math.nan, -1, 10**400)),
+        ("train_fraction", lambda v: PartitionPlan("random-uniform", 2, train_fraction=v),
+         not_positive),
+        ("positive fractions", lambda v: PartitionPlan("label-skew", 2, positive_fractions=(0.5, v)),
+         (math.inf, -math.inf, math.nan, -1, 10**400)),
+        ("class_means[0][1]", lambda v: make_synthetic([[0, v], [1, 1]], 1.0, (6, 6), seed=2),
+         (math.inf, -math.inf, math.nan, 10**400)),
     ]
     for field, make, rejected in fields:
         for bad in rejected:
-            with pytest.raises(ValueError, match=field):
+            with pytest.raises(ValueError, match=re.escape(field)):
                 make(bad)
+        # float fields take real numbers only: NoiseConfig("0.5") once stored the
+        # string, and TrainConfig(1, 8, True) trained at learning rate 1.0
+        for bad in ("0.5", True):
+            with pytest.raises(TypeError, match=re.escape(f"{field} must be a real number")):
+                make(bad)
+        make(np.float32(0.5))
+    for bad in ("False", 0, None):  # "False" once resumed in the same round
+        with pytest.raises(TypeError, match="delay_resume_same_round must be a bool"):
+            PolicyConfig(delay_resume_same_round=bad)
     # float fields are stored as given, so `fedsim validate` prints a config's 1 as 1
     assert repr(ClientSetup(9, shard, 1).epoch_time_s) == "1"
     assert repr(IntermittencyEvent.join(2, 9, shard, 1).epoch_time_s) == "1"
