@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .models import ParameterSet
-from .rules import integer, positive
+from .rules import integer, noise_amplitude
 from .seeding import rng_from
 
 
@@ -62,46 +62,41 @@ def _ordered(updates: Sequence[Update]) -> list[Update]:
     return ordered
 
 
-def _combine(ordered: list[Update], weights: list[float]) -> ParameterSet:
+def _aggregate(ordered: list[Update], weights: list[float]) -> AggregateResult:
+    """The ``weights``-combination of the ordered updates, clamped into their envelope."""
     vals = [u.params.values for u in ordered]
     acc = weights[0] * vals[0]
     for w, v in zip(weights[1:], vals[1:]):
         acc += w * v
     stacked = np.stack(vals)
     np.clip(acc, stacked.min(axis=0), stacked.max(axis=0), out=acc)
-    return ordered[0].params.with_values(acc)
+    return AggregateResult(
+        params=ordered[0].params.with_values(acc),
+        weights_used=tuple((u.client_id, w) for u, w in zip(ordered, weights)),
+        total_n=sum(u.n for u in ordered),
+    )
 
 
 def weighted_fedavg(updates: Sequence[Update]) -> AggregateResult:
     """Sample-count-weighted average of the updates."""
     ordered = _ordered(updates)
     total = sum(u.n for u in ordered)
-    weights = [u.n / total for u in ordered]
-    return AggregateResult(
-        params=_combine(ordered, weights),
-        weights_used=tuple((u.client_id, w) for u, w in zip(ordered, weights)),
-        total_n=total,
-    )
+    return _aggregate(ordered, [u.n / total for u in ordered])
 
 
 def plain_average(updates: Sequence[Update]) -> AggregateResult:
     """Unweighted mean of the updates."""
     ordered = _ordered(updates)
-    k = len(ordered)
-    weights = [1.0 / k] * k
-    return AggregateResult(
-        params=_combine(ordered, weights),
-        weights_used=tuple((u.client_id, w) for u, w in zip(ordered, weights)),
-        total_n=sum(u.n for u in ordered),
-    )
+    return _aggregate(ordered, [1.0 / len(ordered)] * len(ordered))
 
 
 def add_uniform_noise(params: ParameterSet, amplitude: float, seed: int) -> ParameterSet:
     """Perturb every coordinate by i.i.d. uniform(-amplitude, amplitude) noise.
 
     Mean-zero, so averaging many independently noised copies of the same
-    vector recovers the original.  Deterministic in ``seed``.
+    vector recovers the original.  Deterministic in ``seed``.  Raises
+    ValueError when a noised coordinate is not finite.
     """
-    a = positive(amplitude, "noise amplitude")
+    a = noise_amplitude(amplitude)
     noise = rng_from(seed).uniform(-a, a, size=params.size)
     return params.with_values(params.values + noise)

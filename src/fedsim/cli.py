@@ -1,17 +1,20 @@
 """Command-line front end: run, sweep, validate.
 
 Exit codes: 0 success, 2 config parse error, 3 validation error,
-4 policy starvation at runtime, 5 a client's training diverged (non-finite
-parameters).  Runs that stop with 4 or 5 still write the completed rounds
-to rounds.csv and events.log.  The output directory resolves in the
-order --out flag, config output_dir, FEDSIM_OUT environment variable, and
-must lie under a writable directory.
+4 policy starvation at runtime, 5 non-finite parameters from a client's
+training or the noise; ``main`` maps every error to its code.  Runs that
+stop with 4 or 5 still write the completed rounds to rounds.csv and
+events.log.  The output directory resolves in the order --out flag, config
+output_dir, FEDSIM_OUT environment variable, and must lie under a writable
+directory.
 --seed and --format are edits to the config before it is validated.
 
-A sweep validates the base config without building it.  Each value runs the
-base deep-merged with its ``sweeps.<variable>.<value>`` override (keyed by the
-value as written, ``departure+delay`` for policy) and then with the variable's
-own edit, which wins; errors in that config are prefixed ``<variable>=<value>: ``.
+A sweep validates the base config without building it, then every value's
+config before the first value runs: the base deep-merged with its
+``sweeps.<variable>.<value>`` override (keyed by the value as written,
+``departure+delay`` for policy) and then with the variable's own edit, which
+wins.  Errors that need the data surface only when a value is built.  A
+value's errors are prefixed ``<variable>=<value>: ``.
 """
 
 from __future__ import annotations
@@ -110,18 +113,17 @@ def _resolve_out(args: argparse.Namespace, output_dir: str | None) -> Path:
     return out
 
 
-def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport | int:
-    """Run the plan and write its outputs.  A starved or diverged run writes
-    only its completed rounds and yields its exit code instead of a report."""
+def _run_and_write(rc: RunConfig, out_dir: Path) -> RunReport:
+    """Run the plan and write its outputs.  An aborted run writes only its
+    completed rounds and re-raises."""
     try:
         # A diverging client overflows before run raises DivergenceError;
-        # its one error line below replaces numpy's overflow warnings.
+        # main's one error line replaces numpy's overflow warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             report = run(rc.plan)
     except RunAborted as exc:
         write_partial_outputs(exc.completed, exc.audit_log, out_dir)
-        print(f"error: {label}{exc}", file=sys.stderr)
-        return EXIT_STARVATION if isinstance(exc, PolicyStarvationError) else EXIT_DIVERGED
+        raise
     write_run_outputs(
         report,
         out_dir,
@@ -136,10 +138,7 @@ def _run_and_write(rc: RunConfig, out_dir: Path, label: str = "") -> RunReport |
 def cmd_run(args: argparse.Namespace) -> int:
     rc = build_plan(_edited_config(args), base_dir=Path(args.config).parent)
     out_dir = _resolve_out(args, rc.output_dir)
-    report = _run_and_write(rc, out_dir)
-    if isinstance(report, int):
-        return report
-    s = report.summary
+    s = _run_and_write(rc, out_dir).summary
     print(f"completed {s.rounds_completed} rounds in {s.total_sim_time_s!r} simulated seconds")
     print(
         f"final loss={s.final.loss!r} accuracy={s.final.accuracy!r} auc={s.final.auc!r}"
@@ -215,23 +214,23 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_sweep_values(args.variable, args.values)
     out_dir = _resolve_out(args, base.get("output_dir"))
     sweep_root = out_dir / f"sweep_{args.variable.replace('_', '-')}"
-    runs = []
-    for index, value in enumerate(values):
-        label = str(value)
-        name = f"{args.variable}={label}"
-        cfg = deep_merge(base, overrides.get(label, {}))
-        try:
+    configs, runs = [], []
+    try:
+        for index, value in enumerate(values):
+            name = f"{args.variable}={value}"
+            cfg = deep_merge(base, overrides.get(str(value), {}))  # keyed by the value as written
             edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
-            rc = build_plan(deep_merge(cfg, edit), base_dir=Path(args.config).parent)
-            report = _run_and_write(rc, sweep_root / name, f"{name}: ")
-        except (ConfigParseError, ConfigValidationError, PlanValidationError) as exc:
-            raise type(exc)(f"{name}: {exc}") from exc
-        if isinstance(report, int):
-            return report
-        s = report.summary
-        baseline = centralized_comparison(rc.plan, rc.centralized_epoch_time_s, s.total_sim_time_s)
-        runs.append((label, s, baseline))
-        print(f"{name}: sim_time_s={s.total_sim_time_s!r}")
+            configs.append(validate_config(deep_merge(cfg, edit)))
+        for value, cfg in zip(values, configs):  # every value checked, now run each
+            name = f"{args.variable}={value}"
+            rc = build_plan(cfg, base_dir=Path(args.config).parent)
+            s = _run_and_write(rc, sweep_root / name).summary
+            baseline = centralized_comparison(rc.plan, rc.centralized_epoch_time_s, s.total_sim_time_s)
+            runs.append((str(value), s, baseline))
+            print(f"{name}: sim_time_s={s.total_sim_time_s!r}")
+    except (ConfigParseError, ConfigValidationError, PlanValidationError, RunAborted) as exc:
+        exc.args = (f"{name}: {exc}",)  # name is the value that failed
+        raise
 
     comparison, *averages = write_sweep_tables(args.variable, runs, sweep_root)
     print(f"comparison written to {comparison}")
@@ -251,6 +250,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigValidationError, PlanValidationError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except RunAborted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_STARVATION if isinstance(exc, PolicyStarvationError) else EXIT_DIVERGED
 
 
 if __name__ == "__main__":

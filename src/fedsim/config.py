@@ -63,6 +63,7 @@ from .seeding import rng_from
 
 SWEEP_VARIABLES = ("client-count", "N_r", "policy")
 REPORT_FORMATS = ("csv", "json")
+_MAX_NESTING = 100  # far deeper than the schema, well inside copy.deepcopy's recursion limit
 
 
 class ConfigParseError(ValueError):
@@ -159,6 +160,12 @@ def load_config_file(path: str | Path) -> dict:
         raise ConfigParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top level must be a JSON object")
+    level = [raw]  # walked level by level, so the walk itself never recurses
+    for _ in range(_MAX_NESTING):
+        level = [v for node in level for v in (node.values() if isinstance(node, dict) else node)
+                 if isinstance(v, (dict, list))]
+    if level:
+        raise ConfigParseError(f"{path}: nests too deeply (more than {_MAX_NESTING} levels)")
     return raw
 
 

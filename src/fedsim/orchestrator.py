@@ -30,7 +30,9 @@ Event timing:
 ``validate_plan`` compiles the script into a ``Timeline`` that ``run``
 follows with one decision per (phase, delay policy).  Local training that
 turns non-finite raises ``DivergenceError``, which carries the completed
-rounds and the audit log, as ``PolicyStarvationError`` does.
+rounds and the audit log, as ``PolicyStarvationError`` does; noise that
+turns the parameters non-finite raises a plain ``RunAborted`` that names
+the round and the noise placement.
 
 The clock charges each round ``epochs`` times the slowest client that
 trained fresh for that round's aggregation; clients whose updates are
@@ -51,7 +53,7 @@ from .aggregation import AggregateResult, Update, add_uniform_noise, plain_avera
 from .metrics import MetricSet, RunSummary, evaluate, loss_accuracy, summarize
 from .models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from .partition import ClientShard
-from .rules import choice, integer, positive
+from .rules import choice, integer, noise_amplitude, positive
 from .seeding import derive_seed
 
 DROP_HISTORY = "drop-history"
@@ -156,7 +158,7 @@ class NoiseConfig:
     placement: str = "client"
 
     def __post_init__(self) -> None:
-        positive(self.amplitude, "noise amplitude")
+        noise_amplitude(self.amplitude)
         choice(self.placement, "placement", NOISE_PLACEMENTS)
 
 
@@ -416,6 +418,13 @@ def run(plan: SimPlan) -> RunReport:
     records: list[RoundRecord] = []
     global_params = init_params(plan.model, init_seed(plan.seed))
 
+    def noised(params: ParameterSet, seed: int, r: int) -> ParameterSet:
+        try:
+            return add_uniform_noise(params, plan.noise.amplitude, seed)
+        except ValueError as exc:  # the amplitude is checked, so only a non-finite result
+            message = f"round {r}: {plan.noise.placement} noise produced non-finite parameters"
+            raise RunAborted(message, r, records, audit) from exc
+
     def train(st: ClientState, r: int) -> Update:
         cfg = replace(plan.train, seed=train_seed(plan.seed, st.client_id, r))
         try:
@@ -423,8 +432,7 @@ def run(plan: SimPlan) -> RunReport:
         except ValueError as exc:  # after validation, only a non-finite result
             raise DivergenceError(st.client_id, r, records, audit) from exc
         if plan.noise is not None and plan.noise.placement == "client":
-            noise_seed = client_noise_seed(plan.seed, st.client_id, r)
-            params = add_uniform_noise(params, plan.noise.amplitude, noise_seed)
+            params = noised(params, client_noise_seed(plan.seed, st.client_id, r), r)
         return Update(st.client_id, params, st.shard.n_train, r)
 
     for r in range(1, plan.n_rounds + 1):
@@ -432,9 +440,7 @@ def run(plan: SimPlan) -> RunReport:
             states[ev.client_id] = ClientState(ev.client_id, ev.shard, float(ev.epoch_time_s))
             audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}")
 
-        updates: list[Update] = []
         participants: list[Participation] = []
-        fresh_times: list[float] = []
         for cid in sorted(states):
             st = states[cid]
             phase = "departed" if st.status == "departed" else timeline.phases.get((cid, r))
@@ -453,25 +459,19 @@ def run(plan: SimPlan) -> RunReport:
                 phase == "resume" and not stale_serving and plan.policy.delay_resume_same_round
             ):
                 st.last_update = train(st, r)
-                updates.append(st.last_update)
                 participants.append(Participation(cid, True, 0))
-                fresh_times.append(st.epoch_time_s)
             elif (phase == "departed" or stale_serving) and st.last_update is not None:
-                updates.append(st.last_update)
                 participants.append(Participation(cid, False, r - st.last_update.produced_round))
 
-        if not updates:
+        if not participants:
             raise PolicyStarvationError(r, records, audit)
 
-        if plan.aggregator == "weighted":
-            agg = weighted_fedavg(updates)
-        else:
-            agg = plain_average(updates)
+        # Each participant's update is its last one: trained above if fresh, else served.
+        aggregate = weighted_fedavg if plan.aggregator == "weighted" else plain_average
+        agg = aggregate([states[p.client_id].last_update for p in participants])
         global_params = agg.params
         if plan.noise is not None and plan.noise.placement == "server":
-            global_params = add_uniform_noise(
-                global_params, plan.noise.amplitude, server_noise_seed(plan.seed, r)
-            )
+            global_params = noised(global_params, server_noise_seed(plan.seed, r), r)
         audit.append(
             f"round {r} aggregate participants="
             + ",".join(f"{p.client_id}:{p.label()}" for p in participants)
@@ -505,7 +505,10 @@ def run(plan: SimPlan) -> RunReport:
                 global_params=global_params,
                 global_metrics=global_metrics,
                 client_metrics=tuple(client_metrics),
-                sim_time_s=simulated_time(plan.train.epochs, [fresh_times]),
+                sim_time_s=simulated_time(
+                    plan.train.epochs,
+                    [[states[p.client_id].epoch_time_s for p in participants if p.fresh]],
+                ),
             )
         )
 

@@ -230,46 +230,28 @@ def partition(master: Dataset, plan: PartitionPlan) -> list[ClientShard]:
         counts = _near_equal_counts(master.n, k)
     else:
         counts = list(plan.counts)
-        if sum(counts) > master.n:
-            raise InfeasiblePartition(
-                f"requested {sum(counts)} samples but master holds {master.n}"
-            )
 
-    rng = rng_from(plan.seed, _SELECT)
-    shards = []
+    # Each pool, the whole master or its positives then its negatives, is shuffled and cut
+    # at the clients' cumulative shares; the piece after the last share stays undealt.
+    whole = {"samples": (np.arange(master.n), counts)}
     if plan.positive_fractions is None:
-        pool = rng.permutation(master.n)
-        offset = 0
-        for cid in range(k):
-            take = pool[offset : offset + counts[cid]]
-            offset += counts[cid]
-            shards.append(_split_shard(master, take, cid, plan))
-        return shards
-
-    pos_share = _positive_targets(counts, plan.positive_fractions)
-    neg_share = [c - p for c, p in zip(counts, pos_share)]
-    pos_pool = rng.permutation(np.flatnonzero(master.labels == 1))
-    neg_pool = rng.permutation(np.flatnonzero(master.labels == 0))
-    if sum(pos_share) > pos_pool.size:
-        raise InfeasiblePartition(
-            f"requested {sum(pos_share)} positives but master holds {pos_pool.size}"
-        )
-    if sum(neg_share) > neg_pool.size:
-        raise InfeasiblePartition(
-            f"requested {sum(neg_share)} negatives but master holds {neg_pool.size}"
-        )
-    p_off = n_off = 0
-    for cid in range(k):
-        take = np.concatenate(
-            [
-                pos_pool[p_off : p_off + pos_share[cid]],
-                neg_pool[n_off : n_off + neg_share[cid]],
-            ]
-        )
-        p_off += pos_share[cid]
-        n_off += neg_share[cid]
-        shards.append(_split_shard(master, take, cid, plan))
-    return shards
+        pools = whole
+    else:
+        pos_share = _positive_targets(counts, plan.positive_fractions)
+        neg_share = [c - p for c, p in zip(counts, pos_share)]
+        pools = {
+            "positives": (np.flatnonzero(master.labels == 1), pos_share),
+            "negatives": (np.flatnonzero(master.labels == 0), neg_share),
+        }
+    for what, (ids, share) in {**whole, **pools}.items():  # the whole master is checked first
+        if sum(share) > ids.size:
+            raise InfeasiblePartition(f"requested {sum(share)} {what} but master holds {ids.size}")
+    rng = rng_from(plan.seed, _SELECT)
+    hands = [np.split(rng.permutation(ids), np.cumsum(share)) for ids, share in pools.values()]
+    return [
+        _split_shard(master, np.concatenate(pieces), cid, plan)
+        for cid, pieces in zip(range(k), zip(*hands))
+    ]
 
 
 def relabel_shard(shard: ClientShard, client_id: int) -> ClientShard:

@@ -8,6 +8,7 @@ one out of range or not among the field's options.
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral, Real
 
 
@@ -42,6 +43,14 @@ def positive(value, name: str) -> float:
     if x <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     return x
+
+
+def noise_amplitude(value) -> float:
+    """``value`` as a float in (0, sys.float_info.max / 2]: uniform(-a, a) needs 2a finite."""
+    a = positive(value, "noise amplitude")
+    if a > sys.float_info.max / 2:
+        raise ValueError(f"noise amplitude must be <= {sys.float_info.max / 2!r}, got {value}")
+    return a
 
 
 def choice(value, name: str, options: tuple):

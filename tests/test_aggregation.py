@@ -1,3 +1,6 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from fedsim.aggregation import (
     weighted_fedavg,
 )
 from fedsim.models import ParameterSet
+from fedsim.orchestrator import NoiseConfig
 from fedsim.seeding import derive_seed, rng_from
 
 
@@ -135,6 +139,15 @@ def test_noise_support_bound_and_determinism():
     assert not np.array_equal(noised.values, add_uniform_noise(base, 0.25, seed=8).values)
     with pytest.raises(ValueError):
         add_uniform_noise(base, 0.0, seed=1)
+
+
+def test_noise_amplitude_stops_where_the_noise_range_would_overflow():
+    # uniform(-a, a) once raised OverflowError for a > sys.float_info.max / 2
+    top = sys.float_info.max / 2
+    for make in (NoiseConfig, lambda a: add_uniform_noise(_pset(np.zeros(4)), a, seed=1)):
+        make(top)
+        with pytest.raises(ValueError, match=re.escape(f"must be <= {top!r}, got 1.7e+308")):
+            make(1.7e308)
 
 
 def test_noise_seed_must_be_an_integer():

@@ -543,6 +543,51 @@ def test_cli_rejects_an_unwritable_output_path_before_running(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
+def _holdout_leaving_no_training_data():
+    cfg = _base_cfg()
+    cfg["data"]["source"]["n_per_class"] = [1, 1]
+    cfg["data"]["global_test"] = {"type": "holdout", "fraction": 0.75, "seed": 3}
+    return cfg
+
+
+@pytest.mark.parametrize("config, code, expected", [
+    ("[1]", 2, "parse error: {path}: top level must be a JSON object\n"),
+    (None, 2, "parse error: cannot read config {path}: "),  # the path is a directory
+    ({**_base_cfg(), "events": [5]}, 2, "parse error: events[0]: expected an object\n"),
+    ({**_base_cfg(), "sweeps": {"N_r": 5}}, 2,
+     "parse error: sweeps.N_r: expected an object keyed by value\n"),
+    (_holdout_leaving_no_training_data(), 3,
+     "validation error: data.global_test.fraction leaves no training data\n"),
+], ids=["top-level-list", "unreadable-path", "event-not-object", "sweep-table-not-object",
+        "holdout-leaves-no-training-data"])
+def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code, expected):
+    if config is None:
+        path = tmp_path / "config-dir"
+        path.mkdir()
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(expected.format(path=path))
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_cli_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
+    # json.loads reads 700 levels, but copying them once ended in a RecursionError
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "three_clients.json"
+    cfg = json.loads(demo.read_text())
+    nested: list = []
+    for _ in range(699):
+        nested = [nested]
+    cfg["sweeps"] = {"policy": {"drop-history+use-stale-accept-any": {"rounds": nested}}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"parse error: {path}: nests too deeply (more than 100 levels)\n"
+
+
 def test_cli_starvation_keeps_partial_results(tmp_path):
     cfg = _base_cfg()
     cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}]
@@ -849,3 +894,34 @@ def test_cli_diverging_sweep_exits_5_and_keeps_partial_results(tmp_path, capsys)
     assert (run_dir / "rounds.csv").exists()
     assert (run_dir / "events.log").exists()
     assert not (out / "sweep_N-r" / "comparison.csv").exists()
+
+
+def test_cli_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "delayed_update.json"
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", str(demo), "--out", str(out), "--variable", "policy",
+                 "--values", "drop-history+use-stale-accept-any,bogus+x"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "validation error: policy=bogus+x: policy: departure must be one of "
+        "('drop-history', 'retain-last'), got 'bogus'\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("placement", ["client", "server"])
+def test_cli_noise_that_overflows_exits_5_and_keeps_partial_results(tmp_path, capsys, placement):
+    cfg = _base_cfg()
+    cfg["rounds"] = 8
+    cfg["train"]["learning_rate"] = 1e-300  # training leaves the noised parameters as they are
+    cfg["noise"] = {"amplitude": 8.9e307, "placement": placement}
+    out = tmp_path / "noised"
+    assert main(["run", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 5
+    assert capsys.readouterr().err == (
+        f"error: round 6: {placement} noise produced non-finite parameters\n"
+    )
+    with (out / "rounds.csv").open() as fh:
+        assert [row[0] for row in csv.reader(fh)] == ["round", "1", "2", "3", "4", "5"]
+    events = (out / "events.log").read_text()
+    assert "round 5 aggregate" in events and "round 6 aggregate" not in events
+    assert not (out / "summary.json").exists()

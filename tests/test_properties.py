@@ -237,6 +237,7 @@ def _partition(mode, **lists):
 @example(("three_clients", ("data", "source", "class_means", 0, 1), {}))
 @example(("three_clients", ("train", "learning_rate"), math.inf))
 @example(("three_clients", ("noise",), {"amplitude": math.inf}))
+@example(("three_clients", ("noise",), {"amplitude": 1.7e308}))
 @example(("three_clients", ("clients", 0, "epoch_time_s"), math.inf))
 def test_mutated_demo_config_ends_in_a_documented_exit_code(mutation):
     stem, path, value = mutation
