@@ -6,11 +6,11 @@ training or the noise; ``main`` maps every error to its code.  Runs that
 stop with 4 or 5 still write the completed rounds to rounds.csv and
 events.log.  The output directory resolves in the order --out flag, config
 output_dir, FEDSIM_OUT environment variable, and must lie under a writable
-directory.
---seed and --format are edits to the config before it is validated.
+directory; an output file that cannot be written there is a validation error.
+--seed and --format are edits to the config before its one validation.
 
 A sweep validates the base config without building it, then every value's
-config before the first value runs: the base deep-merged with its
+config, once, before the first value runs: the base deep-merged with its
 ``sweeps.<variable>.<value>`` override (keyed by the value as written,
 ``departure+delay`` for policy) and then with the variable's own edit, which
 wins.  Errors that need the data surface only when a value is built.  A
@@ -23,8 +23,6 @@ import argparse
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .config import (
     REPORT_FORMATS,
@@ -84,14 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _edited_config(args: argparse.Namespace) -> dict:
-    """The config file with --seed and --format written into it, so the
-    config's own rules check them and name them ``seed`` and ``report_formats``."""
+    """The config file with --seed and --format written into it, validated, so
+    the config's own rules check them and name them ``seed`` and ``report_formats``."""
     raw = load_config_file(args.config)
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.format is not None:
         raw["report_formats"] = [f.strip() for f in args.format.split(",") if f.strip()]
-    return raw
+    return validate_config(raw)
 
 
 def _resolve_out(args: argparse.Namespace, output_dir: str | None) -> Path:
@@ -113,18 +111,24 @@ def _resolve_out(args: argparse.Namespace, output_dir: str | None) -> Path:
     return out
 
 
+def _written(write, *args, **kwargs):
+    """``write(*args, **kwargs)``; an output it cannot write is a validation error naming it."""
+    try:
+        return write(*args, **kwargs)
+    except OSError as exc:
+        raise ConfigValidationError(f"cannot write {exc.filename}: {exc.strerror}") from exc
+
+
 def _run_and_write(rc: RunConfig, out_dir: Path) -> RunReport:
     """Run the plan and write its outputs.  An aborted run writes only its
     completed rounds and re-raises."""
     try:
-        # A diverging client overflows before run raises DivergenceError;
-        # main's one error line replaces numpy's overflow warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = run(rc.plan)
+        report = run(rc.plan)
     except RunAborted as exc:
-        write_partial_outputs(exc.completed, exc.audit_log, out_dir)
+        _written(write_partial_outputs, exc.completed, exc.audit_log, out_dir)
         raise
-    write_run_outputs(
+    _written(
+        write_run_outputs,
         report,
         out_dir,
         formats=rc.report_formats,
@@ -209,7 +213,7 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    base = validate_config(_edited_config(args))
+    base = _edited_config(args)
     overrides = base.pop("sweeps", {}).get(args.variable, {})
     values = _parse_sweep_values(args.variable, args.values)
     out_dir = _resolve_out(args, base.get("output_dir"))
@@ -232,7 +236,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         exc.args = (f"{name}: {exc}",)  # name is the value that failed
         raise
 
-    comparison, *averages = write_sweep_tables(args.variable, runs, sweep_root)
+    comparison, *averages = _written(write_sweep_tables, args.variable, runs, sweep_root)
     print(f"comparison written to {comparison}")
     for path in averages:
         print(f"per-client-best averages written to {path}")

@@ -22,10 +22,12 @@ source types, event kinds, sweep variables), all before any data is read.
 A source type, event kind or sweep variable picks a schema, so a bad one
 is a ConfigParseError.
 
-``build_plan`` materializes datasets, cuts client shards and returns a
-SimPlan together with the reporting options.  The full resolved config
-(defaults filled in) is echoed into summary.json, and feeding that echo
-back through this module reproduces the same plan.
+An absent optional key takes its owner's field default, except in
+``model``, whose echo keeps only the keys written.  ``build_plan`` takes
+what ``validate_config`` returned, materializes datasets, cuts client
+shards and returns a SimPlan together with the reporting options.  The
+resolved config is echoed into summary.json, and feeding that echo back
+through this module reproduces the same plan.
 """
 
 from __future__ import annotations
@@ -86,7 +88,10 @@ class RunConfig:
     echo: dict  # resolved config, defaults filled in
 
 
-def _require(obj: dict, path: str, required: dict[str, type | tuple], optional: dict | None = None) -> None:
+def _require(obj: dict, path: str, required: dict[str, type | tuple], optional: dict | None = None,
+             owner: type | None = None) -> None:
+    """Check ``obj``'s keys and their types, then give each absent optional
+    key ``owner``'s field default, if it has one other than None."""
     if not isinstance(obj, dict):
         raise ConfigParseError(f"{path or 'config'}: expected an object")
     schema, prefix = {**required, **(optional or {})}, f"{path}." if path else ""
@@ -99,6 +104,9 @@ def _require(obj: dict, path: str, required: dict[str, type | tuple], optional: 
     for key, types in schema.items():
         if key in obj:
             _check_type(obj[key], types, prefix + key)
+    for f in fields(owner) if owner else ():
+        if f.name in (optional or {}) and f.default is not None:
+            obj.setdefault(f.name, f.default)
 
 
 def _check_type(value: Any, types: type | tuple, path: str) -> None:
@@ -129,14 +137,6 @@ def _kind(obj: Any, path: str, key: str, kinds: tuple) -> str:
         raise ConfigParseError(f"{path}: expected an object")
     _rule(choice, obj.get(key), f"{path}.{key}", kinds, error=ConfigParseError)
     return obj[key]
-
-
-def _defaults(obj: dict, cls: type, names: tuple[str, ...]) -> dict:
-    """Fill the ``names`` missing from ``obj`` with ``cls``'s field defaults."""
-    for f in fields(cls):
-        if f.name in names:
-            obj.setdefault(f.name, f.default)
-    return obj
 
 
 def _build(path: str, make, *args, **kwargs):
@@ -284,33 +284,23 @@ def validate_config(raw: dict) -> dict:
     _rule(integer, cfg["train"]["epochs"], "train.epochs", 1)
     _rule(positive, cfg["train"]["learning_rate"], "train.learning_rate")
 
-    _defaults(cfg, SimPlan, ("aggregator",))
-    _rule(choice, cfg["aggregator"], "aggregator", AGGREGATORS)
+    _rule(choice, cfg.setdefault("aggregator", SimPlan.aggregator), "aggregator", AGGREGATORS)
 
-    policy = cfg.setdefault("policy", {})
-    _require(policy, "policy", {}, {"departure": str, "delay": str, "delay_resume_same_round": bool})
-    _defaults(policy, PolicyConfig, ("departure", "delay", "delay_resume_same_round"))
+    _require(cfg.setdefault("policy", {}), "policy", {},
+             {"departure": str, "delay": str, "delay_resume_same_round": bool}, PolicyConfig)
 
-    if cfg.get("noise") is not None:
-        _require(cfg["noise"], "noise", {"amplitude": float}, {"placement": str})
-        _defaults(cfg["noise"], NoiseConfig, ("placement",))
-    else:
-        cfg["noise"] = None
+    if cfg.setdefault("noise", None) is not None:
+        _require(cfg["noise"], "noise", {"amplitude": float}, {"placement": str}, NoiseConfig)
 
     data = cfg["data"]
     _require(data, "data", {"source": dict, "global_test": dict, "partition": dict})
     _validate_source(data["source"], "data.source")
     _validate_source(data["global_test"], "data.global_test", allow_holdout=True)
     part = data["partition"]
-    _require(
-        part,
-        "data.partition",
-        {"mode": str, "seed": int},
-        {"counts": list, "positive_fractions": list, "train_fraction": float},
-    )
+    _require(part, "data.partition", {"mode": str, "seed": int},
+             {"counts": list, "positive_fractions": list, "train_fraction": float}, PartitionPlan)
     _check_items(part.get("counts", []), int, "data.partition.counts")
     _check_items(part.get("positive_fractions", []), float, "data.partition.positive_fractions")
-    _defaults(part, PartitionPlan, ("train_fraction",))
 
     validate_clients(cfg["clients"])
 
@@ -321,14 +311,9 @@ def validate_config(raw: dict) -> dict:
         _require(ev, epath, _EVENT_KEYS[kind])
         if kind == JOIN:
             _rule(positive, ev["epoch_time_s"], f"{epath}.epoch_time_s")
-            _require(
-                ev["data"],
-                f"{epath}.data",
-                {"source": dict},
-                {"train_fraction": float, "seed": int},
-            )
+            _require(ev["data"], f"{epath}.data", {"source": dict},
+                     {"train_fraction": float, "seed": int}, PartitionPlan)
             _validate_source(ev["data"]["source"], f"{epath}.data.source")
-            _defaults(ev["data"], PartitionPlan, ("train_fraction", "seed"))
 
     cfg.setdefault("report_formats", list(REPORT_FORMATS))
     for i, fmt in enumerate(cfg["report_formats"]):
@@ -381,8 +366,8 @@ def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset
 
 
 def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
-    """Materialize datasets and assemble the SimPlan a config describes."""
-    cfg = validate_config(cfg)
+    """Materialize datasets and assemble the SimPlan a config describes;
+    ``cfg`` is what ``validate_config`` returned."""
     values = _domain_values(cfg)
     base_dir = Path(base_dir)
 

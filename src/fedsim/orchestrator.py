@@ -32,7 +32,8 @@ follows with one decision per (phase, delay policy).  Local training that
 turns non-finite raises ``DivergenceError``, which carries the completed
 rounds and the audit log, as ``PolicyStarvationError`` does; noise that
 turns the parameters non-finite raises a plain ``RunAborted`` that names
-the round and the noise placement.
+the round and the noise placement.  Each ends the audit log with an
+``abort`` line that gives the round and the reason.
 
 The clock charges each round ``epochs`` times the slowest client that
 trained fresh for that round's aggregation; clients whose updates are
@@ -48,6 +49,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
+
+import numpy as np
 
 from .aggregation import AggregateResult, Update, add_uniform_noise, plain_average, weighted_fedavg
 from .metrics import MetricSet, RunSummary, evaluate, loss_accuracy, summarize
@@ -423,6 +426,7 @@ def run(plan: SimPlan) -> RunReport:
             return add_uniform_noise(params, plan.noise.amplitude, seed)
         except ValueError as exc:  # the amplitude is checked, so only a non-finite result
             message = f"round {r}: {plan.noise.placement} noise produced non-finite parameters"
+            audit.append(f"round {r} abort reason=noise placement={plan.noise.placement}")
             raise RunAborted(message, r, records, audit) from exc
 
     def train(st: ClientState, r: int) -> Update:
@@ -430,87 +434,91 @@ def run(plan: SimPlan) -> RunReport:
         try:
             params, _ = train_local(plan.model, global_params, st.shard.train, cfg)
         except ValueError as exc:  # after validation, only a non-finite result
+            audit.append(f"round {r} abort reason=divergence client={st.client_id}")
             raise DivergenceError(st.client_id, r, records, audit) from exc
         if plan.noise is not None and plan.noise.placement == "client":
             params = noised(params, client_noise_seed(plan.seed, st.client_id, r), r)
         return Update(st.client_id, params, st.shard.n_train, r)
 
-    for r in range(1, plan.n_rounds + 1):
-        for ev in timeline.joins.get(r, ()):
-            states[ev.client_id] = ClientState(ev.client_id, ev.shard, float(ev.epoch_time_s))
-            audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}")
+    # Overflow ends in the finiteness checks' RunAborted, never in a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, plan.n_rounds + 1):
+            for ev in timeline.joins.get(r, ()):
+                states[ev.client_id] = ClientState(ev.client_id, ev.shard, float(ev.epoch_time_s))
+                audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}")
 
-        participants: list[Participation] = []
-        for cid in sorted(states):
-            st = states[cid]
-            phase = "departed" if st.status == "departed" else timeline.phases.get((cid, r))
-            if phase == "start":
-                if stale_serving:  # an excluded late update is never computed
-                    held_back[cid] = train(st, r)
-                audit.append(f"round {r} delay client={cid} update held back")
-            elif phase == "resume" and stale_serving:
-                st.last_update = held_back.pop(cid)
-                audit.append(f"round {r} late-delivery client={cid} accepted")
-            elif phase == "resume":
-                audit.append(f"round {r} late-delivery client={cid} discarded")
+            participants: list[Participation] = []
+            for cid in sorted(states):
+                st = states[cid]
+                phase = "departed" if st.status == "departed" else timeline.phases.get((cid, r))
+                if phase == "start":
+                    if stale_serving:  # an excluded late update is never computed
+                        held_back[cid] = train(st, r)
+                    audit.append(f"round {r} delay client={cid} update held back")
+                elif phase == "resume" and stale_serving:
+                    st.last_update = held_back.pop(cid)
+                    audit.append(f"round {r} late-delivery client={cid} accepted")
+                elif phase == "resume":
+                    audit.append(f"round {r} late-delivery client={cid} discarded")
 
-            # Train fresh now, serve the last delivered update, or send nothing.
-            if phase is None or (
-                phase == "resume" and not stale_serving and plan.policy.delay_resume_same_round
-            ):
-                st.last_update = train(st, r)
-                participants.append(Participation(cid, True, 0))
-            elif (phase == "departed" or stale_serving) and st.last_update is not None:
-                participants.append(Participation(cid, False, r - st.last_update.produced_round))
+                # Train fresh now, serve the last delivered update, or send nothing.
+                if phase is None or (
+                    phase == "resume" and not stale_serving and plan.policy.delay_resume_same_round
+                ):
+                    st.last_update = train(st, r)
+                    participants.append(Participation(cid, True, 0))
+                elif (phase == "departed" or stale_serving) and st.last_update is not None:
+                    participants.append(Participation(cid, False, r - st.last_update.produced_round))
 
-        if not participants:
-            raise PolicyStarvationError(r, records, audit)
+            if not participants:
+                audit.append(f"round {r} abort reason=starvation")
+                raise PolicyStarvationError(r, records, audit)
 
-        # Each participant's update is its last one: trained above if fresh, else served.
-        aggregate = weighted_fedavg if plan.aggregator == "weighted" else plain_average
-        agg = aggregate([states[p.client_id].last_update for p in participants])
-        global_params = agg.params
-        if plan.noise is not None and plan.noise.placement == "server":
-            global_params = noised(global_params, server_noise_seed(plan.seed, r), r)
-        audit.append(
-            f"round {r} aggregate participants="
-            + ",".join(f"{p.client_id}:{p.label()}" for p in participants)
-            + " weights="
-            + ",".join(f"{cid}:{w!r}" for cid, w in agg.weights_used)
-            + f" total_n={agg.total_n}"
-        )
-
-        global_metrics = evaluate(plan.model, global_params, plan.global_test)
-
-        for ev in timeline.leaves.get(r, ()):
-            st = states[ev.client_id]
-            st.status = "departed"
-            if plan.policy.departure == DROP_HISTORY:
-                st.last_update = None
-            audit.append(f"round {r} leave client={ev.client_id} policy={plan.policy.departure}")
-
-        client_metrics = []
-        for cid in sorted(states):
-            st = states[cid]
-            if st.status != "active" or st.shard.test.n == 0:
-                continue
-            loss, acc = loss_accuracy(plan.model, global_params, st.shard.test)
-            client_metrics.append(ClientEval(cid, loss, acc, st.shard.test.n))
-
-        records.append(
-            RoundRecord(
-                round_index=r,
-                participants=tuple(participants),
-                aggregate=agg,
-                global_params=global_params,
-                global_metrics=global_metrics,
-                client_metrics=tuple(client_metrics),
-                sim_time_s=simulated_time(
-                    plan.train.epochs,
-                    [[states[p.client_id].epoch_time_s for p in participants if p.fresh]],
-                ),
+            # Each participant's update is its last one: trained above if fresh, else served.
+            aggregate = weighted_fedavg if plan.aggregator == "weighted" else plain_average
+            agg = aggregate([states[p.client_id].last_update for p in participants])
+            global_params = agg.params
+            if plan.noise is not None and plan.noise.placement == "server":
+                global_params = noised(global_params, server_noise_seed(plan.seed, r), r)
+            audit.append(
+                f"round {r} aggregate participants="
+                + ",".join(f"{p.client_id}:{p.label()}" for p in participants)
+                + " weights="
+                + ",".join(f"{cid}:{w!r}" for cid, w in agg.weights_used)
+                + f" total_n={agg.total_n}"
             )
-        )
+
+            global_metrics = evaluate(plan.model, global_params, plan.global_test)
+
+            for ev in timeline.leaves.get(r, ()):
+                st = states[ev.client_id]
+                st.status = "departed"
+                if plan.policy.departure == DROP_HISTORY:
+                    st.last_update = None
+                audit.append(f"round {r} leave client={ev.client_id} policy={plan.policy.departure}")
+
+            client_metrics = []
+            for cid in sorted(states):
+                st = states[cid]
+                if st.status != "active" or st.shard.test.n == 0:
+                    continue
+                loss, acc = loss_accuracy(plan.model, global_params, st.shard.test)
+                client_metrics.append(ClientEval(cid, loss, acc, st.shard.test.n))
+
+            records.append(
+                RoundRecord(
+                    round_index=r,
+                    participants=tuple(participants),
+                    aggregate=agg,
+                    global_params=global_params,
+                    global_metrics=global_metrics,
+                    client_metrics=tuple(client_metrics),
+                    sim_time_s=simulated_time(
+                        plan.train.epochs,
+                        [[states[p.client_id].epoch_time_s for p in participants if p.fresh]],
+                    ),
+                )
+            )
 
     report = RunReport(
         plan=plan,

@@ -218,7 +218,7 @@ def test_semantic_validation():
 
 def test_named_options_take_only_their_options():
     # 7 of these 10 rules once said only "unknown ...", without the options
-    plan = build_plan(_base_cfg()).plan
+    plan = build_plan(validate_config(_base_cfg())).plan
     shard = plan.clients[0].shard
 
     def config_with(edit):
@@ -320,11 +320,11 @@ def test_event_schema():
         validate_config(cfg)
     cfg["events"] = [{"round": 2, "kind": "delay", "client": 0, "resume_round": 2}]
     with pytest.raises(ConfigValidationError, match="resume"):
-        build_plan(cfg)
+        build_plan(validate_config(cfg))
 
 
 def test_build_plan_shapes():
-    rc = build_plan(_base_cfg())
+    rc = build_plan(validate_config(_base_cfg()))
     plan = rc.plan
     assert [c.client_id for c in plan.clients] == [0, 1]
     assert sorted(c.shard.n_total for c in plan.clients) == [40, 40]
@@ -332,7 +332,7 @@ def test_build_plan_shapes():
     assert plan.seed == 5
     assert rc.report_formats == ("csv", "json")
     # the echoed config re-validates and rebuilds the same plan
-    again = build_plan(rc.echo)
+    again = build_plan(validate_config(rc.echo))
     assert again.plan.seed == plan.seed
     assert [c.client_id for c in again.plan.clients] == [0, 1]
 
@@ -341,7 +341,7 @@ def test_build_plan_infeasible_partition():
     cfg = _base_cfg()
     cfg["data"]["partition"] = {"mode": "explicit-counts", "seed": 0, "counts": [500, 500]}
     with pytest.raises(ConfigValidationError, match="partition"):
-        build_plan(cfg)
+        build_plan(validate_config(cfg))
 
 
 def test_csv_source_paths_resolve_relative_to_config(tmp_path):
@@ -349,14 +349,14 @@ def test_csv_source_paths_resolve_relative_to_config(tmp_path):
     write_dataset_csv(ds, tmp_path / "master.csv")
     cfg = _base_cfg()
     cfg["data"]["source"] = {"type": "csv", "path": "master.csv"}
-    rc = build_plan(cfg, base_dir=tmp_path)
+    rc = build_plan(validate_config(cfg), base_dir=tmp_path)
     assert sum(c.shard.n_total for c in rc.plan.clients) == 60
 
 
 def test_holdout_global_test():
     cfg = _base_cfg()
     cfg["data"]["global_test"] = {"type": "holdout", "fraction": 0.25, "seed": 4}
-    rc = build_plan(cfg)
+    rc = build_plan(validate_config(cfg))
     assert rc.plan.global_test.n == 20  # a quarter of the 80-sample master
     shard_ids = set()
     for c in rc.plan.clients:
@@ -396,7 +396,7 @@ def test_events_materialize():
         },
         {"round": 4, "kind": "delay", "client": 0, "resume_round": 5},
     ]
-    rc = build_plan(cfg)
+    rc = build_plan(validate_config(cfg))
     kinds = [e.kind for e in rc.plan.events]
     assert kinds == ["leave", "join", "delay"]
     join = rc.plan.events[1]
@@ -598,7 +598,7 @@ def test_cli_starvation_keeps_partial_results(tmp_path):
     with (out / "rounds.csv").open() as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 1  # only round 1 completed
-    assert (out / "events.log").exists()
+    assert (out / "events.log").read_text().endswith("round 2 abort reason=starvation\n")
     assert not (out / "summary.json").exists()
 
 
@@ -776,6 +776,46 @@ def test_cli_sweep_builds_one_plan_per_value_and_never_the_base(tmp_path, monkey
     assert built == [1, 2]  # the base config has 3 rounds
 
 
+@pytest.mark.parametrize("command, calls", [
+    (["run"], 1), (["validate"], 1), (["sweep", "--variable", "N_r", "--values", "2,1"], 1 + 2),
+], ids=["run", "validate", "sweep"])
+def test_cli_validates_each_config_once(tmp_path, monkeypatch, command, calls):
+    seen = []
+
+    def counting_validate_config(cfg):
+        seen.append(cfg["rounds"])
+        return validate_config(cfg)
+
+    monkeypatch.setattr(fedsim.cli, "validate_config", counting_validate_config)
+    monkeypatch.setattr(fedsim.config, "validate_config", counting_validate_config)
+    argv = [command[0], "--config", _write(tmp_path, _base_cfg()), "--out", str(tmp_path / "o")]
+    assert main(argv + command[1:]) == 0
+    assert len(seen) == calls
+
+
+def test_cli_output_file_that_cannot_be_written_exits_3(tmp_path, capsys):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "three_clients.json"
+    out = tmp_path / "out"
+    (out / "rounds.csv").mkdir(parents=True)
+    assert main(["run", "--config", str(demo), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"validation error: cannot write {out / 'rounds.csv'}: Is a directory\n"
+    )
+
+
+def test_cli_sweep_value_whose_directory_is_a_file_exits_3_naming_the_value(tmp_path, capsys):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "three_clients.json"
+    out = tmp_path / "out"
+    blocker = out / "sweep_N-r" / "N_r=5"
+    blocker.parent.mkdir(parents=True)
+    blocker.write_text("")
+    code = main(["sweep", "--config", str(demo), "--out", str(out), "--variable", "N_r",
+                 "--values", "1,5"])
+    assert code == 3
+    assert capsys.readouterr().err == f"validation error: N_r=5: cannot write {blocker}: File exists\n"
+    assert (out / "sweep_N-r" / "N_r=1" / "rounds.csv").exists()  # the value before it ran
+
+
 def test_cli_sweep_override_may_rely_on_the_swept_value(tmp_path):
     """An override is checked together with its variable's edit, so it may
     name rounds or clients that only the swept value creates."""
@@ -879,11 +919,10 @@ def test_cli_diverging_run_exits_5_and_keeps_partial_results(tmp_path):
     ]
     with (out / "rounds.csv").open() as fh:
         assert len(list(csv.reader(fh))) == 1  # header only: round 1 never completed
-    assert (out / "events.log").exists()
+    assert (out / "events.log").read_text() == "round 1 abort reason=divergence client=0\n"
     assert not (out / "summary.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_diverging_sweep_exits_5_and_keeps_partial_results(tmp_path, capsys):
     out = tmp_path / "sw"
     code = main(["sweep", "--config", _write(tmp_path, _diverging_cfg()), "--out", str(out),
@@ -924,4 +963,5 @@ def test_cli_noise_that_overflows_exits_5_and_keeps_partial_results(tmp_path, ca
         assert [row[0] for row in csv.reader(fh)] == ["round", "1", "2", "3", "4", "5"]
     events = (out / "events.log").read_text()
     assert "round 5 aggregate" in events and "round 6 aggregate" not in events
+    assert events.endswith(f"round 6 abort reason=noise placement={placement}\n")
     assert not (out / "summary.json").exists()

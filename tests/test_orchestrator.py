@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from operator import attrgetter
 
@@ -21,6 +22,7 @@ from fedsim.orchestrator import (
     PlanValidationError,
     PolicyConfig,
     PolicyStarvationError,
+    RunAborted,
     SimPlan,
     init_seed,
     run,
@@ -567,7 +569,6 @@ def test_excluded_late_update_is_never_trained(monkeypatch):
     assert "round 10 late-delivery client=1 discarded" in report.audit_log
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_carries_completed_rounds():
     # An MLP joiner whose features are ~1e200 overflows in its second round of training.
     huge = make_synthetic([[1e200, 1e200], [-1e200, -1e200]], 1e100, (8, 8), seed=303)
@@ -580,3 +581,29 @@ def test_divergence_carries_completed_rounds():
     assert exc.value.round_index == 4
     assert [rec.round_index for rec in exc.value.completed] == [1, 2, 3]
     assert "round 3 join client=9 n_train=12" in exc.value.audit_log
+    assert exc.value.audit_log[-1] == "round 4 abort reason=divergence client=9"
+
+
+def _overflowing_plan(cause):
+    """A plan whose run overflows: an MLP joiner with ~1e200 features
+    diverges in round 4, or server noise of 8.9e307 overflows in round 6."""
+    if cause == "divergence":
+        huge = make_synthetic([[1e200, 1e200], [-1e200, -1e200]], 1e100, (8, 8), seed=303)
+        (shard,) = partition(huge, PartitionPlan("random-uniform", 1, seed=303))
+        events = (IntermittencyEvent.join(3, 9, relabel_shard(shard, 9), 1.0),)
+        return replace(_plan(n_rounds=5, events=events), model=ModelSpec("mlp-1hidden", 2, 4))
+    plan = _plan(n_rounds=8, noise=NoiseConfig(8.9e307, "server"))
+    return replace(plan, train=replace(plan.train, learning_rate=1e-300))
+
+
+@pytest.mark.parametrize("cause, error, round_index", [
+    ("divergence", DivergenceError, 4), ("noise", RunAborted, 6),
+])
+def test_an_overflowing_run_raises_its_error_and_no_numpy_warning(cause, error, round_index):
+    plan = _overflowing_plan(cause)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would escape before the error
+        with pytest.raises(error) as exc:
+            run(plan)
+    assert exc.value.round_index == round_index
+    assert exc.value.audit_log[-1].startswith(f"round {round_index} abort reason={cause}")

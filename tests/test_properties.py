@@ -1,11 +1,13 @@
 """Property tests over random valid event scripts and every policy
 combination, and over single-leaf mutations of the demo configs."""
 
+import io
 import json
 import math
+import os
 import re
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -319,3 +321,53 @@ def test_fuzzed_sweep_ends_in_a_documented_exit_code(sweep):
     cfg, variable, values = sweep
     argv = ["sweep", "--variable", variable, f"--values={values}"]  # values may start with "-"
     assert _main_on(cfg, argv) in (0, 2, 3, 4, 5)
+
+
+# What a run (R) or an N_r sweep over 1,2 (S) writes under its output directory.
+OUTPUT_DIRS = {"R": ["."], "S": [".", "sweep_N-r", "sweep_N-r/N_r=1", "sweep_N-r/N_r=2"]}
+OUTPUT_FILES = {
+    "R": ["rounds.csv", "events.log", "summary.json", "roc_round1.csv"],
+    "S": ["sweep_N-r/comparison.csv", "sweep_N-r/N_r=1/events.log",
+          "sweep_N-r/N_r=2/rounds.csv", "sweep_N-r/N_r=2/summary.json"],
+}
+
+
+@st.composite
+def blocked_outputs(draw):
+    """A command, an output directory given by --out or FEDSIM_OUT, and one
+    path below it taken by the wrong kind of entry: a file where a directory
+    is expected, or a directory named like an output file."""
+    command = draw(st.sampled_from(["R", "S"]))
+    source = draw(st.sampled_from(["--out", "FEDSIM_OUT"]))
+    if draw(st.booleans()):
+        return command, source, "file", draw(st.sampled_from(OUTPUT_DIRS[command]))
+    return command, source, "dir", draw(st.sampled_from(OUTPUT_FILES[command]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(blocked_outputs())
+@example(("R", "FEDSIM_OUT", "file", "."))  # FEDSIM_OUT names a file
+@example(("R", "--out", "dir", "rounds.csv"))  # once an IsADirectoryError traceback
+@example(("S", "--out", "file", "sweep_N-r/N_r=2"))  # once a FileExistsError traceback
+def test_blocked_output_path_ends_in_a_documented_exit_code(blocked):
+    command, source, kind, where = blocked
+    cfg = {key: value for key, value in DEMO_CONFIGS["three_clients"].items() if key != "output_dir"}
+    cfg.update(rounds=2, roc_rounds=[1])
+    argv = ["run"] if command == "R" else ["sweep", "--variable", "N_r", "--values", "1,2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        blocker = out / where
+        if kind == "file":
+            blocker.parent.mkdir(parents=True, exist_ok=True)
+            blocker.write_text("")
+        else:
+            blocker.mkdir(parents=True)
+        config = Path(tmp) / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        argv += ["--config", str(config)] + (["--out", str(out)] if source == "--out" else [])
+        err = io.StringIO()
+        with mock.patch.dict(os.environ, {"FEDSIM_OUT": str(out)}), redirect_stderr(err):
+            code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert (code, len(lines)) in ((0, 0), (3, 1))
+    assert all(line.startswith("validation error: ") for line in lines)
