@@ -158,25 +158,12 @@ class Dataset:
     ids: np.ndarray  # (n,) int64, unique
 
     def __post_init__(self) -> None:
-        features = np.array(self.features, dtype=np.float64, copy=True)
-        labels = np.array(self.labels, dtype=np.int64, copy=True)
-        ids = np.array(self.ids, dtype=np.int64, copy=True)
-        if features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {features.shape}")
-        n = features.shape[0]
-        if labels.shape != (n,) or ids.shape != (n,):
-            raise ValueError("features, labels and ids must agree in length")
-        if n and not np.isin(labels, (0, 1)).all():
-            raise ValueError("labels must be 0 or 1")
-        if np.unique(ids).size != n:
-            raise ValueError("sample ids must be unique")
-        if not np.all(np.isfinite(features)):
-            raise ValueError("features must be finite")
-        for arr in (features, labels, ids):
-            arr.setflags(write=False)
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "ids", ids)
+        _adopt_dataset(
+            np.array(self.features, dtype=np.float64, copy=True),
+            np.array(self.labels, dtype=np.int64, copy=True),
+            np.array(self.ids, dtype=np.int64, copy=True),
+            into=self,
+        )
 
     @property
     def n(self) -> int:
@@ -187,9 +174,32 @@ class Dataset:
         return int(self.features.shape[1])
 
     def subset(self, indices: np.ndarray) -> "Dataset":
-        """Rows selected by position, in the given order."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx], self.labels[idx], self.ids[idx])
+        """Rows selected by integer position, in the given order."""
+        idx = np.asarray(indices)
+        if idx.dtype.kind not in "iu":  # as int64, a mask or floats would select other rows
+            raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
+        return _adopt_dataset(self.features[idx], self.labels[idx], self.ids[idx])
+
+
+def _adopt_dataset(features: np.ndarray, labels: np.ndarray, ids: np.ndarray, into=None) -> Dataset:
+    """Validate float64 ``features`` and int64 ``labels`` and ``ids`` and freeze them, without
+    a copy, into ``into`` or a new Dataset; callers pass arrays that nothing else holds."""
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got shape {features.shape}")
+    n = features.shape[0]
+    if labels.shape != (n,) or ids.shape != (n,):
+        raise ValueError("features, labels and ids must agree in length")
+    if n and not np.isin(labels, (0, 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    if np.unique(ids).size != n:
+        raise ValueError("sample ids must be unique")
+    if not np.all(np.isfinite(features)):
+        raise ValueError("features must be finite")
+    ds = object.__new__(Dataset) if into is None else into
+    for name, arr in (("features", features), ("labels", labels), ("ids", ids)):
+        arr.setflags(write=False)
+        object.__setattr__(ds, name, arr)
+    return ds
 
 
 @dataclass(frozen=True)
@@ -272,9 +282,11 @@ def _logistic(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | Non
 def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> _Out:
     d, h = spec.input_dim, spec.hidden_dim
     w2 = v[d * h + h : -1]
-    z1 = X @ v[: d * h].reshape(d, h) + v[d * h : d * h + h]
+    z1 = X @ v[: d * h].reshape(d, h)
+    z1 += v[d * h : d * h + h]
     relu = spec.activation == "relu"
-    a = np.maximum(z1, 0.0) if relu else _sigmoid(z1)
+    # Without labels nothing reads z1 again, so relu may overwrite it.
+    a = np.maximum(z1, 0.0, out=z1 if y is None else None) if relu else _sigmoid(z1)
     p = _sigmoid(a @ w2 + v[-1])
     if y is None:
         return p, None

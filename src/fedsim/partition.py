@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import Dataset
+from .models import Dataset, _adopt_dataset
 from .rules import choice, finite, integer, positive
 from .seeding import rng_from
 
@@ -169,14 +169,15 @@ def make_synthetic(
         class_means, class_cov_scale, n_per_class, seed
     )
     rng = rng_from(seed)
-    d = mean0.size
-    x0 = mean0 + scale * rng.standard_normal((n0, d))
-    x1 = mean1 + scale * rng.standard_normal((n1, d))
-    features = np.vstack([x0, x1])
+    features = np.empty((n0 + n1, mean0.size))
+    for rows, mean in ((features[:n0], mean0), (features[n0:], mean1)):
+        rng.standard_normal(rows.shape, out=rows)
+        rows *= scale  # the bits of mean + scale * normal: IEEE * and + commute exactly
+        rows += mean
     labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
     order = rng.permutation(n0 + n1)
     ids = np.arange(n0 + n1, dtype=np.int64)
-    return Dataset(features[order], labels[order], ids)
+    return _adopt_dataset(features[order], labels[order], ids)
 
 
 def _near_equal_counts(n: int, k: int) -> list[int]:
@@ -302,11 +303,17 @@ def read_dataset_csv(path: str | Path) -> Dataset:
             raise ValueError(f"{path}: malformed feature columns in header")
         ids, labels, feats = [], [], []
         for row in reader:
-            if len(row) != d + 2:
-                raise ValueError(f"{path}: row has {len(row)} fields, expected {d + 2}")
-            ids.append(int(row[0]))
-            labels.append(int(row[1]))
-            feats.append([float(v) for v in row[2:]])
+            try:
+                if len(row) != d + 2:
+                    raise ValueError(f"row has {len(row)} fields, expected {d + 2}")
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                feats.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not ids:
         raise ValueError(f"{path}: no data rows")
-    return Dataset(np.array(feats), np.array(labels), np.array(ids))
+    try:  # the whole-file checks; an id or label past 64 bits raises OverflowError
+        return _adopt_dataset(np.array(feats), np.array(labels, np.int64), np.array(ids, np.int64))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

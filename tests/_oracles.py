@@ -64,6 +64,22 @@ def logistic_sgd_reference(values, X, y, orders, batch_size, lr):
     return v
 
 
+def make_synthetic_reference(class_means, scale, n_per_class, seed):
+    """Two Gaussian blobs by the literal formula: each class drawn as
+    ``mean + scale * standard_normal``, label 0 first, stacked, then the rows
+    shuffled by one permutation from the same ``SeedSequence([seed])`` stream.
+    Returns (features, labels, ids).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    m0, m1 = (np.asarray(m, dtype=np.float64) for m in class_means)
+    n0, n1 = n_per_class
+    x0 = m0 + scale * rng.standard_normal((n0, m0.size))
+    x1 = m1 + scale * rng.standard_normal((n1, m1.size))
+    labels = np.array([0] * n0 + [1] * n1, dtype=np.int64)
+    order = rng.permutation(n0 + n1)
+    return np.vstack([x0, x1])[order], labels[order], np.arange(n0 + n1, dtype=np.int64)
+
+
 def masked_sigmoid(z):
     """Logistic function split by sign, so exp() never overflows."""
     out = np.empty_like(z)

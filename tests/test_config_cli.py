@@ -353,6 +353,30 @@ def test_csv_source_paths_resolve_relative_to_config(tmp_path):
     assert sum(c.shard.n_total for c in rc.plan.clients) == 60
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("1,1,abc,0.5", "line 3: could not convert string to float: 'abc'"),
+        ("1,0.5,0.1,0.5", "line 3: invalid literal for int() with base 10: '0.5'"),
+        ("1,1,0.5", "line 3: row has 3 fields, expected 4"),
+        ("1,2,0.1,0.5", "labels must be 0 or 1"),
+        ("0,1,0.1,0.5", "sample ids must be unique"),
+        ("1,1,nan,0.5", "features must be finite"),
+        ("99999999999999999999,1,0.1,0.5", "Python int too large to convert to C long"),
+    ],
+)
+def test_cli_malformed_csv_names_the_file_and_an_unparsable_line(tmp_path, capsys, row, reason):
+    (tmp_path / "master.csv").write_text(f"id,label,f0,f1\n0,0,0.1,0.2\n{row}\n2,1,0.3,0.4\n")
+    cfg = _base_cfg()
+    cfg["data"]["source"] = {"type": "csv", "path": "master.csv"}
+    code = main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"validation error: data.source.path: {(tmp_path / 'master.csv').resolve()}: {reason}\n"
+    )
+    assert not (tmp_path / "x").exists()
+
+
 def test_holdout_global_test():
     cfg = _base_cfg()
     cfg["data"]["global_test"] = {"type": "holdout", "fraction": 0.25, "seed": 4}

@@ -1,16 +1,21 @@
 import math
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from fedsim.models import (
+    ACTIVATIONS,
     LOGISTIC,
     MLP,
     Dataset,
     ModelSpec,
     ParameterSet,
     TrainConfig,
+    _KERNELS,
+    _P_HI,
+    _P_LO,
     _sigmoid,
     bce_loss,
     forward,
@@ -264,6 +269,65 @@ def test_dataset_validation():
     sub = ds.subset(np.array([2, 0]))
     assert sub.ids.tolist() == [2, 0]
     assert sub.features[0, 0] == 4.0
+
+
+def test_public_dataset_constructor_copies_and_leaves_the_callers_arrays_writable():
+    features, labels, ids = np.arange(6.0).reshape(3, 2), np.array([0, 1, 1]), np.arange(3)
+    ds = Dataset(features, labels, ids)
+    features[0, 0], labels[0], ids[0] = 9.0, 1, 7
+    assert (ds.features[0, 0], ds.labels[0], ds.ids[0]) == (0.0, 0, 0)
+    assert all(a.flags.writeable for a in (features, labels, ids))
+    assert not any(a.flags.writeable for a in (ds.features, ds.labels, ds.ids))
+
+
+@pytest.mark.parametrize("indices", [np.array([False, True]), np.array([0.7, 2.9])])
+def test_subset_rejects_indices_that_are_not_integers(indices):
+    ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1]), np.arange(3))
+    with pytest.raises(ValueError, match="subset indices must be integers"):
+        ds.subset(indices)
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_mlp_forward_is_the_gradient_paths_p_and_leaves_its_inputs_alone(activation):
+    spec = ModelSpec(MLP, input_dim=4, hidden_dim=6, activation=activation)
+    params, X, y = _random_instance(spec, seed=5, n=40)
+    X_before, v_before = X.copy(), params.values.copy()
+    p, _ = _KERNELS[MLP](spec, params.values, X, y.astype(np.float64))
+    assert forward(spec, params, X).tobytes() == np.clip(p, _P_LO, _P_HI).tobytes()
+    assert X.tobytes() == X_before.tobytes() and X.flags.writeable
+    assert params.values.tobytes() == v_before.tobytes()
+
+
+def _peak_bytes(call):
+    """Peak traced allocation of ``call()``, after one untimed warm-up call
+    (numpy's first ``np.unique`` keeps about 1 MB for later calls)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_make_synthetic_allocates_little_beyond_its_features():
+    n_per_class, d = (3000, 3000), 64
+    peak = _peak_bytes(lambda: make_synthetic([np.zeros(d), np.ones(d)], 1.0, n_per_class, 4))
+    assert peak <= 2.6 * sum(n_per_class) * d * 8
+
+
+def test_subset_allocates_little_beyond_the_selected_rows():
+    master = make_synthetic([np.zeros(64), np.ones(64)], 1.0, (4000, 4000), 4)
+    idx = rng_from(4).permutation(master.n)[:4000]
+    sub = master.subset(idx)
+    selected = sub.features.nbytes + sub.labels.nbytes + sub.ids.nbytes
+    assert _peak_bytes(lambda: master.subset(idx)) <= 1.3 * selected
+
+
+def test_relu_mlp_forward_allocates_one_hidden_activation():
+    spec = ModelSpec(MLP, input_dim=16, hidden_dim=128)
+    params, X, _ = _random_instance(spec, seed=6, n=4000)
+    assert _peak_bytes(lambda: forward(spec, params, X)) <= 1.3 * X.shape[0] * spec.hidden_dim * 8
 
 
 def _oracle_case(spec, n, seed):

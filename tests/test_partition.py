@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedsim.models import Dataset
 from fedsim.partition import (
@@ -18,6 +20,8 @@ from fedsim.partition import (
     skew_report,
     write_dataset_csv,
 )
+
+from _oracles import make_synthetic_reference
 
 
 def _master(n_neg, n_pos, seed=0, d=3):
@@ -33,6 +37,26 @@ def test_make_synthetic_shapes_and_labels():
     assert ds.n == 5
     assert ds.labels.tolist() == [1] * 5
     assert sorted(ds.ids.tolist()) == list(range(5))
+
+
+@st.composite
+def _synthetic_args(draw):
+    d = draw(st.integers(1, 5))
+    mean = st.lists(st.floats(-50.0, 50.0), min_size=d, max_size=d)
+    sizes = draw(st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda s: sum(s) >= 1))
+    scale, seed = draw(st.floats(1e-3, 1e3)), draw(st.integers(0, 2**63 - 1))
+    return [draw(mean), draw(mean)], scale, sizes, seed
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(_synthetic_args())
+@example(([[0.0], [5.0]], 1.0, (0, 7), 0))
+@example(([[0.0] * 5, [-1.5] * 5], 0.25, (9, 0), 3))
+def test_make_synthetic_keeps_the_bits_of_the_stacked_formula(args):
+    ds = make_synthetic(*args)
+    for got, want in zip((ds.features, ds.labels, ds.ids), make_synthetic_reference(*args)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_make_synthetic_separation_controls_difficulty():
