@@ -74,7 +74,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[RocCurve, float]:
     y = np.asarray(labels).ravel()
     if s.size != y.size or s.size == 0:
         raise ValueError("scores and labels must be nonempty and of equal length")
-    if not np.isin(y, (0, 1)).all():
+    if not ((y == 0) | (y == 1)).all():
         raise ValueError("labels must be 0 or 1")
     y = y.astype(np.int64)
     n_pos = int(y.sum())
@@ -101,7 +101,8 @@ def _scored(
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     p = forward(spec, params, dataset.features)
-    return p, bce_loss(p, dataset.labels), float(np.mean((p >= 0.5) == (dataset.labels == 1)))
+    correct = np.count_nonzero((p >= 0.5) == (dataset.labels == 1))
+    return p, bce_loss(p, dataset.labels), float(correct / dataset.n)
 
 
 def evaluate(spec: ModelSpec, params: ParameterSet, dataset: Dataset) -> MetricSet:

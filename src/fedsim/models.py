@@ -46,8 +46,9 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # exp() sees only -|z| (as min(z, -z), which keeps a NaN's sign), so it cannot
     # overflow, and each branch gets the exp() argument a split by sign gives it.
     e = np.exp(np.minimum(z, -z))
-    d = 1.0 + e
-    return np.where(z >= 0, 1.0 / d, e / d)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=e)
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,8 @@ class Dataset:
     def __post_init__(self) -> None:
         _adopt_dataset(
             np.array(self.features, dtype=np.float64, copy=True),
-            np.array(self.labels, dtype=np.int64, copy=True),
-            np.array(self.ids, dtype=np.int64, copy=True),
+            _whole(self.labels, "labels"),
+            _whole(self.ids, "ids"),
             into=self,
         )
 
@@ -178,23 +179,45 @@ class Dataset:
         idx = np.asarray(indices)
         if idx.dtype.kind not in "iu":  # as int64, a mask or floats would select other rows
             raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
-        return _adopt_dataset(self.features[idx], self.labels[idx], self.ids[idx])
+        sub = self._rows(idx)
+        if np.unique(sub.ids).size != sub.n:  # a position repeated, or also written negative
+            raise ValueError("sample ids must be unique")
+        return sub
+
+    def _rows(self, idx: np.ndarray) -> "Dataset":
+        """Rows at distinct positions ``idx``, unchecked: they keep this frozen dataset's checks."""
+        return _adopt_dataset(self.features[idx], self.labels[idx], self.ids[idx], check=False)
 
 
-def _adopt_dataset(features: np.ndarray, labels: np.ndarray, ids: np.ndarray, into=None) -> Dataset:
-    """Validate float64 ``features`` and int64 ``labels`` and ``ids`` and freeze them, without
-    a copy, into ``into`` or a new Dataset; callers pass arrays that nothing else holds."""
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got shape {features.shape}")
-    n = features.shape[0]
-    if labels.shape != (n,) or ids.shape != (n,):
-        raise ValueError("features, labels and ids must agree in length")
-    if n and not np.isin(labels, (0, 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    if np.unique(ids).size != n:
-        raise ValueError("sample ids must be unique")
-    if not np.all(np.isfinite(features)):
-        raise ValueError("features must be finite")
+def _whole(values, name: str) -> np.ndarray:
+    """``values`` as a new int64 array, refusing any value the cast would change."""
+    a = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a NaN or out-of-range float fails the test below
+        out = a.astype(np.int64)
+    # The bound catches a float 2**63, which a saturating cast turns into int64's maximum.
+    if a.dtype.kind in "fuO" and not ((out == a) & (a < 2**63)).all():
+        raise ValueError(f"{name} must be whole numbers in the int64 range")
+    return out
+
+
+def _adopt_dataset(
+    features: np.ndarray, labels: np.ndarray, ids: np.ndarray, check: bool = True, into=None
+) -> Dataset:
+    """Freeze float64 ``features`` and int64 ``labels`` and ``ids``, without a copy, into
+    ``into`` or a new Dataset; callers pass arrays that nothing else holds.  ``check=False``
+    skips validation, for rows taken from a Dataset, whose checks they keep."""
+    if check:
+        if features.ndim != 2:
+            raise ValueError(f"features must be 2-D, got shape {features.shape}")
+        n = features.shape[0]
+        if labels.shape != (n,) or ids.shape != (n,):
+            raise ValueError("features, labels and ids must agree in length")
+        if not ((labels == 0) | (labels == 1)).all():
+            raise ValueError("labels must be 0 or 1")
+        if np.unique(ids).size != n:
+            raise ValueError("sample ids must be unique")
+        if not np.isfinite(features).all():
+            raise ValueError("features must be finite")
     ds = object.__new__(Dataset) if into is None else into
     for name, arr in (("features", features), ("labels", labels), ("ids", ids)):
         arr.setflags(write=False)

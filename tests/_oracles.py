@@ -90,6 +90,13 @@ def masked_sigmoid(z):
     return out
 
 
+def where_sigmoid(z):
+    """Logistic function as one np.where over both branches' quotients; exp() sees only -|z|."""
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
+
+
 def _validated_copy(values):
     """A frozen float64 copy that must be finite, like a fresh parameter vector."""
     out = np.array(values, dtype=np.float64, copy=True)

@@ -131,6 +131,28 @@ def test_accuracy_tie_rule_classifies_half_as_one():
     assert abs(m.auc - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 45, 299, 1000, 4097])
+def test_accuracy_is_the_python_float_mean_of_correct_predictions(n):
+    spec = ModelSpec("logistic-regression", input_dim=2)
+    ds = make_synthetic([[-0.5, 0.0], [0.5, 0.2]], 1.0, (n // 2, n - n // 2), seed=n)
+    p = init_params(spec, 3)
+    _, acc = loss_accuracy(spec, p, ds)
+    assert type(acc) is float
+    assert acc == float(np.mean((forward(spec, p, ds.features) >= 0.5) == (ds.labels == 1)))
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 2], [0.0, 0.5, 1.0], [0.0, np.nan, 1.0], [-1, 0, 1]])
+def test_roc_auc_refuses_labels_other_than_0_and_1(labels):
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        roc_auc(np.array([0.2, 0.5, 0.7]), np.array(labels))
+
+
+def test_roc_auc_takes_bool_and_whole_float_labels():
+    scores = np.array([0.1, 0.4, 0.35, 0.8])
+    for labels in (np.array([False, False, True, True]), np.array([0.0, 0.0, 1.0, 1.0])):
+        assert roc_auc(scores, labels)[1] == 0.75
+
+
 def test_evaluate_perfectly_separated():
     spec = ModelSpec("logistic-regression", input_dim=1)
     p = ParameterSet(np.array([10.0, 0.0]), spec.layer_shapes)

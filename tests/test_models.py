@@ -32,6 +32,7 @@ from _oracles import (
     logistic_sgd_reference,
     masked_sigmoid,
     sgd_step_loop_reference,
+    where_sigmoid,
 )
 
 LR3 = ModelSpec(LOGISTIC, input_dim=3)
@@ -287,6 +288,42 @@ def test_subset_rejects_indices_that_are_not_integers(indices):
         ds.subset(indices)
 
 
+@pytest.mark.parametrize("indices", [[0, 0], [0, -3]])
+def test_subset_refuses_positions_that_name_one_row_twice(indices):
+    ds = Dataset(np.arange(6.0).reshape(3, 2), np.array([0, 1, 1]), np.arange(3))
+    with pytest.raises(ValueError, match="sample ids must be unique"):
+        ds.subset(indices)
+
+
+def test_dataset_refuses_fractional_labels_and_ids():
+    with pytest.raises(ValueError, match="labels"):
+        Dataset(np.zeros((2, 2)), [0.7, 1.9], [0.2, 1.5])
+    with pytest.raises(ValueError, match="ids"):
+        Dataset(np.zeros((2, 2)), [0, 1], [0.2, 1.5])
+
+
+@pytest.mark.parametrize("field", ["labels", "ids"])
+@pytest.mark.parametrize("bad", [0.5, -0.25, np.nan, np.inf, -np.inf, 1e20, 2.0**63, -1e19])
+def test_dataset_refuses_a_label_or_id_the_int64_cast_would_change(field, bad):
+    arrays = {"labels": np.array([0.0, 1.0]), "ids": np.array([3.0, 4.0])}
+    arrays[field][1] = bad
+    with pytest.raises(ValueError, match=field):
+        Dataset(np.zeros((2, 2)), arrays["labels"], arrays["ids"])
+
+
+def test_dataset_refuses_a_uint64_id_past_int64():
+    with pytest.raises(ValueError, match="ids"):
+        Dataset(np.zeros((2, 2)), [0, 1], np.array([0, 2**63], dtype=np.uint64))
+
+
+def test_dataset_accepts_bool_labels_and_whole_number_floats():
+    ds = Dataset(np.zeros((3, 2)), np.array([False, True, True]), [0.0, -(2.0**63), 7.0])
+    assert ds.labels.tolist() == [0, 1, 1] and ds.ids.tolist() == [0, -(2**63), 7]
+    ds = Dataset(np.zeros((2, 2)), [0.0, 1.0], np.array([2**63 - 1, 5], dtype=np.uint64))
+    assert ds.labels.tolist() == [0, 1] and ds.ids.tolist() == [2**63 - 1, 5]
+    assert ds.labels.dtype == ds.ids.dtype == np.int64
+
+
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_mlp_forward_is_the_gradient_paths_p_and_leaves_its_inputs_alone(activation):
     spec = ModelSpec(MLP, input_dim=4, hidden_dim=6, activation=activation)
@@ -328,6 +365,12 @@ def test_relu_mlp_forward_allocates_one_hidden_activation():
     spec = ModelSpec(MLP, input_dim=16, hidden_dim=128)
     params, X, _ = _random_instance(spec, seed=6, n=4000)
     assert _peak_bytes(lambda: forward(spec, params, X)) <= 1.3 * X.shape[0] * spec.hidden_dim * 8
+
+
+def test_sigmoid_mlp_forward_allocates_three_hidden_blocks():
+    spec = ModelSpec(MLP, input_dim=16, hidden_dim=128, activation="sigmoid")
+    params, X, _ = _random_instance(spec, seed=6, n=4000)
+    assert _peak_bytes(lambda: forward(spec, params, X)) <= 3.3 * X.shape[0] * spec.hidden_dim * 8
 
 
 def _oracle_case(spec, n, seed):
@@ -382,3 +425,12 @@ def test_sigmoid_and_bce_keep_the_reference_bits():
     probs = np.concatenate([[0.0, 1.0, 1e-13, 1.0 - 1e-13, 0.5], rng_from(9).random(50)])
     labels = rng_from(10).integers(0, 2, size=probs.size)
     assert bce_loss(probs, labels) == clipped_bce_reference(probs, labels)
+
+
+def test_sigmoid_keeps_the_bits_of_one_where_over_both_quotients():
+    z = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0)],
+        [710.0, -710.0, 750.0, -750.0],
+        rng_from(11).standard_normal(100_000) * 40.0,
+    ])
+    assert _sigmoid(z).tobytes() == where_sigmoid(z).tobytes()

@@ -1,5 +1,6 @@
 """Property tests over random valid event scripts and every policy
-combination, and over single-leaf mutations of the demo configs."""
+combination, over single-leaf mutations of the demo configs, and over the
+rows that partition, subset and a holdout split take from a dataset."""
 
 import io
 import json
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 import fedsim.orchestrator as orch
 from fedsim.cli import main
-from fedsim.models import ModelSpec, TrainConfig
+from fedsim.config import _holdout_split
+from fedsim.models import Dataset, ModelSpec, TrainConfig
 from fedsim.orchestrator import (
     ClientSetup,
     IntermittencyEvent,
@@ -30,7 +32,14 @@ from fedsim.orchestrator import (
     simulated_time,
     validate_plan,
 )
-from fedsim.partition import PartitionPlan, make_synthetic, partition
+from fedsim.partition import (
+    LABEL_SKEW,
+    PARTITION_MODES,
+    RANDOM_UNIFORM,
+    PartitionPlan,
+    make_synthetic,
+    partition,
+)
 
 from _oracles import delay_phase_reference
 
@@ -371,3 +380,46 @@ def test_blocked_output_path_ends_in_a_documented_exit_code(blocked):
     lines = err.getvalue().splitlines()
     assert (code, len(lines)) in ((0, 0), (3, 1))
     assert all(line.startswith("validation error: ") for line in lines)
+
+
+@st.composite
+def dealt_rows(draw):
+    """A synthetic master and a feasible partition plan over it in any mode, distinct
+    subset positions (some written as negative ones), and a holdout fraction and seed."""
+    n0, n1 = draw(st.integers(3, 20)), draw(st.integers(3, 20))
+    master = make_synthetic([[-1.0, 0.0], [1.0, 0.5]], 1.0, (n0, n1), draw(st.integers(0, 2**32)))
+    mode = draw(st.sampled_from(PARTITION_MODES))
+    k = draw(st.integers(1, 3))
+    counts = fractions = None
+    if mode != RANDOM_UNIFORM:  # k counts of at most min(n0, n1) // k fit either label
+        counts = tuple(draw(st.lists(st.integers(1, min(n0, n1) // k), min_size=k, max_size=k)))
+    if mode == LABEL_SKEW or (mode != RANDOM_UNIFORM and draw(st.booleans())):
+        fractions = tuple(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k)))
+    plan = PartitionPlan(mode, k, counts, fractions, draw(st.floats(0.05, 1.0)), draw(st.integers(0, 99)))
+    positions = draw(st.permutations(range(master.n)))[: draw(st.integers(0, master.n))]
+    positions = [p - master.n if draw(st.booleans()) else p for p in positions]
+    return master, plan, positions, draw(st.floats(0.01, 0.5)), draw(st.integers(0, 99))
+
+
+def _assert_rebuilds_read_only(ds):
+    """``ds`` passes every check of the public constructor, which rebuilds the same bytes,
+    and its arrays are read-only."""
+    again = Dataset(ds.features, ds.labels, ds.ids)
+    for name in ("features", "labels", "ids"):
+        got, want = getattr(ds, name), getattr(again, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(dealt_rows())
+def test_rows_taken_from_a_dataset_keep_its_checks(case):
+    master, plan, positions, fraction, seed = case
+    splits = [(s.train, s.test) for s in partition(master, plan)]
+    splits.append(_holdout_split(master, fraction, seed))
+    for train, test in splits:
+        _assert_rebuilds_read_only(train)
+        _assert_rebuilds_read_only(test)
+        assert not set(train.ids.tolist()) & set(test.ids.tolist())
+    _assert_rebuilds_read_only(master.subset(np.array(positions, dtype=np.int64)))
