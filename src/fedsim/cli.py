@@ -174,7 +174,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_values(variable: str, raw: str) -> list:
-    values = [v.strip() for v in raw.split(",") if v.strip()]
+    values = list(dict.fromkeys(v.strip() for v in raw.split(",") if v.strip()))  # first-seen order
     if not values:
         raise ConfigValidationError("--values: expected at least one value")
     if variable == "policy":

@@ -362,7 +362,8 @@ def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset
     n_test = max(1, round(float(fraction) * master.n))
     if n_test >= master.n:
         raise ConfigValidationError("data.global_test.fraction leaves no training data")
-    return master.subset(order[n_test:]), master.subset(order[:n_test])
+    # The two halves of one permutation: distinct positions, so the rows keep master's checks.
+    return master._rows(order[n_test:]), master._rows(order[:n_test])
 
 
 def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:

@@ -180,13 +180,19 @@ class Dataset:
         if idx.dtype.kind not in "iu":  # as int64, a mask or floats would select other rows
             raise ValueError(f"subset indices must be integers, got dtype {idx.dtype}")
         sub = self._rows(idx)
-        if np.unique(sub.ids).size != sub.n:  # a position repeated, or also written negative
+        if not _distinct(sub.ids):  # a position repeated, or also written negative
             raise ValueError("sample ids must be unique")
         return sub
 
     def _rows(self, idx: np.ndarray) -> "Dataset":
         """Rows at distinct positions ``idx``, unchecked: they keep this frozen dataset's checks."""
         return _adopt_dataset(self.features[idx], self.labels[idx], self.ids[idx], check=False)
+
+
+def _distinct(ids: np.ndarray) -> bool:
+    """No value repeats in 1-D ``ids``; a sort beats numpy 2.4's hashing ``np.unique``."""
+    s = np.sort(ids)
+    return bool((s[1:] != s[:-1]).all())
 
 
 def _whole(values, name: str) -> np.ndarray:
@@ -214,7 +220,7 @@ def _adopt_dataset(
             raise ValueError("features, labels and ids must agree in length")
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 or 1")
-        if np.unique(ids).size != n:
+        if not _distinct(ids):
             raise ValueError("sample ids must be unique")
         if not np.isfinite(features).all():
             raise ValueError("features must be finite")

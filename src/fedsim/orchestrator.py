@@ -86,14 +86,6 @@ def train_seed(plan_seed: int, client_id: int, round_index: int) -> int:
     return derive_seed(plan_seed, _TRAIN, client_id, round_index)
 
 
-def client_noise_seed(plan_seed: int, client_id: int, round_index: int) -> int:
-    return derive_seed(plan_seed, _CLIENT_NOISE, client_id, round_index)
-
-
-def server_noise_seed(plan_seed: int, round_index: int) -> int:
-    return derive_seed(plan_seed, _SERVER_NOISE, round_index)
-
-
 def sweep_seed(plan_seed: int, index: int) -> int:
     return derive_seed(plan_seed, _SWEEP, index)
 
@@ -437,7 +429,7 @@ def run(plan: SimPlan) -> RunReport:
             audit.append(f"round {r} abort reason=divergence client={st.client_id}")
             raise DivergenceError(st.client_id, r, records, audit) from exc
         if plan.noise is not None and plan.noise.placement == "client":
-            params = noised(params, client_noise_seed(plan.seed, st.client_id, r), r)
+            params = noised(params, derive_seed(plan.seed, _CLIENT_NOISE, st.client_id, r), r)
         return Update(st.client_id, params, st.shard.n_train, r)
 
     # Overflow ends in the finiteness checks' RunAborted, never in a numpy warning.
@@ -479,7 +471,7 @@ def run(plan: SimPlan) -> RunReport:
             agg = aggregate([states[p.client_id].last_update for p in participants])
             global_params = agg.params
             if plan.noise is not None and plan.noise.placement == "server":
-                global_params = noised(global_params, server_noise_seed(plan.seed, r), r)
+                global_params = noised(global_params, derive_seed(plan.seed, _SERVER_NOISE, r), r)
             audit.append(
                 f"round {r} aggregate participants="
                 + ",".join(f"{p.client_id}:{p.label()}" for p in participants)

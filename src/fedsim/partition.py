@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import Dataset, _adopt_dataset
+from .models import Dataset, _adopt_dataset, _distinct
 from .rules import choice, finite, integer, positive
 from .seeding import rng_from
 
@@ -100,7 +100,7 @@ class ClientShard:
         if self.test.n and self.train.feature_dim != self.test.feature_dim:
             raise ValueError("train and test feature widths differ")
         # Each side's ids are unique already, so a repeat in the two together is a shared id.
-        if np.unique(np.concatenate([self.train.ids, self.test.ids])).size != self.n_total:
+        if not _distinct(np.concatenate([self.train.ids, self.test.ids])):
             raise ValueError("train and test sets share sample ids")
 
     @property

@@ -7,10 +7,10 @@ give every consumer its own independent stream, so adding or removing
 one client never shifts the randomness seen by another.
 
 Seeds and generators are bit-identical to ``SeedSequence(list(key))``:
-numpy mixes the key's uint32 words into its pool, and only the output
-hash of ``generate_state`` (slow in numpy, behind an ``errstate``) is
-replicated here.  ``tests/test_seeding.py`` checks it against numpy; it
-and the golden output hashes were recorded on numpy 2.4.6, Python 3.11.7.
+numpy mixes the key's uint32 words into its pool, and only the output hash
+of ``generate_state`` (slow in numpy) is replicated, for PCG64's request.
+``tests/test_seeding.py`` checks it against numpy; it and the golden
+output hashes were recorded on numpy 2.4.6, Python 3.11.7.
 """
 
 from __future__ import annotations
@@ -55,14 +55,12 @@ def _hash(pool: list[int], n_words: int) -> list[int]:
 
 
 class _KeySequence(np.random.SeedSequence):
-    """A SeedSequence whose ``generate_state`` runs :func:`_hash` directly."""
+    """A SeedSequence whose ``generate_state`` runs :func:`_hash` directly for the
+    uint64 words PCG64 asks for; any other request is numpy's own method."""
 
     def generate_state(self, n_words, dtype=np.uint32):
-        dtype = np.dtype(dtype)
-        if dtype == np.uint32:
-            return np.array(_hash(self.pool.tolist(), n_words), dtype=np.uint32)
-        if dtype != np.uint64:
-            raise ValueError("only support uint32 or uint64")
+        if np.dtype(dtype) != np.uint64:
+            return super().generate_state(n_words, dtype)
         words = iter(_hash(self.pool.tolist(), 2 * n_words))
         return np.array([lo | hi << 32 for lo, hi in zip(words, words)], dtype=np.uint64)
 

@@ -184,3 +184,165 @@ def delay_phase_reference(events, client_id, round_index):
         if round_index == ev.resume_round:
             return "resume"
     return None
+
+
+def _key_seed(*key):
+    """The 64-bit seed numpy's own ``SeedSequence`` derives from an integer key."""
+    return int(np.random.SeedSequence(list(key)).generate_state(1, np.uint64)[0])
+
+
+def _glorot_init(model, seed):
+    """Glorot-uniform kernels and zero biases, drawn in layout order from one stream."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    d, h = model.input_dim, model.hidden_dim
+    if model.kind == "logistic-regression":
+        layers = [("kernel", (d,), d + 1), ("bias", (1,), None)]
+    else:
+        layers = [("kernel", (d, h), d + h), ("bias", (h,), None),
+                  ("kernel", (h,), h + 1), ("bias", (1,), None)]
+    parts = []
+    for kind, dims, fans in layers:
+        if kind == "bias":
+            parts.append(np.zeros(int(np.prod(dims))))
+        else:
+            s = (6.0 / fans) ** 0.5
+            parts.append(rng.uniform(-s, s, size=dims).ravel())
+    return np.concatenate(parts)
+
+
+class ReferenceAborted(Exception):
+    """The reference run stopped: ``reason`` is "starvation", "divergence" or "noise"."""
+
+    def __init__(self, reason, round_index, rounds_csv, audit):
+        super().__init__(reason)
+        self.reason, self.round_index = reason, round_index
+        self.rounds_csv, self.audit = rounds_csv, audit
+
+
+def run_reference(plan, evaluate, loss_accuracy):
+    """A whole run by a literal reading of README's round rules and the
+    ``orchestrator`` docstring, written without a compiled timeline.
+
+    Every round rescans ``plan.events``: joins apply first, each client's
+    delay phase comes from ``delay_phase_reference``, and leaves apply after
+    the round's aggregation and global evaluation.  Training is
+    ``sgd_step_loop_reference`` keyed by ``(seed, 1, client, round)``; model
+    init is keyed ``(seed, 0)``, client noise ``(seed, 2, client, round)`` and
+    server noise ``(seed, 3, round)``, all through numpy's ``SeedSequence``.
+    Updates combine in ascending client-id order, then are clamped into their
+    envelope.  Metrics are the caller's: ``evaluate(values, dataset)`` gives
+    (loss, accuracy, auc) and ``loss_accuracy(values, dataset)`` (loss,
+    accuracy), so this oracle covers the orchestration, not the metric code.
+
+    Returns ``(rounds_csv, audit_lines, final_values)``; a run that stops
+    raises ``ReferenceAborted`` with the rounds completed before it.
+    """
+    model, tc, policy, noise = plan.model, plan.train, plan.policy, plan.noise
+    stale_serving = policy.delay == "use-stale-accept-any"
+    clients = {c.client_id: (c.shard, float(c.epoch_time_s)) for c in plan.clients}
+    departed, last, in_flight = set(), {}, {}  # last/in_flight: cid -> (values, n, produced)
+    rows = ["round,sim_time_s,participants,loss,accuracy,auc,client_metrics"]
+    audit = []
+    values = _glorot_init(model, _key_seed(plan.seed, 0))
+
+    def stop(reason, r, detail=""):
+        audit.append(f"round {r} abort reason={reason}{detail}")
+        raise ReferenceAborted(reason, r, "".join(row + "\r\n" for row in rows), audit)
+
+    def noised(v, key, r):
+        a = noise.amplitude
+        out = v + np.random.default_rng(np.random.SeedSequence([_key_seed(*key)])).uniform(
+            -a, a, size=v.size)
+        if not np.isfinite(out).all():
+            stop("noise", r, f" placement={noise.placement}")
+        return out
+
+    def train(cid, broadcast, r):
+        shard = clients[cid][0]
+        try:
+            v = sgd_step_loop_reference(broadcast, shard.train.features, shard.train.labels,
+                                        _key_seed(plan.seed, 1, cid, r), tc.epochs,
+                                        tc.batch_size, tc.learning_rate, hidden=model.hidden_dim,
+                                        activation=model.activation)
+        except ValueError:
+            stop("divergence", r, f" client={cid}")
+        if noise is not None and noise.placement == "client":
+            v = noised(v, (plan.seed, 2, cid, r), r)
+        return (v, shard.train.n, r)
+
+    for r in range(1, plan.n_rounds + 1):
+        for ev in plan.events:  # in script order, as for leaves below
+            if ev.kind == "join" and ev.round_index == r:
+                clients[ev.client_id] = (ev.shard, float(ev.epoch_time_s))
+                audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.train.n}")
+
+        broadcast = values
+        entries = []  # (cid, update, fresh)
+        for cid in sorted(clients):
+            if cid in departed:  # retain-last keeps serving what it kept
+                if cid in last:
+                    entries.append((cid, last[cid], False))
+                continue
+            phase = delay_phase_reference(plan.events, cid, r)
+            if phase is None:
+                last[cid] = train(cid, broadcast, r)
+                entries.append((cid, last[cid], True))
+                continue
+            if phase == "start":
+                if stale_serving:  # trained on this broadcast, delivered at resume
+                    in_flight[cid] = train(cid, broadcast, r)
+                audit.append(f"round {r} delay client={cid} update held back")
+            elif phase == "resume" and stale_serving:
+                last[cid] = in_flight.pop(cid)
+                audit.append(f"round {r} late-delivery client={cid} accepted")
+            elif phase == "resume":
+                audit.append(f"round {r} late-delivery client={cid} discarded")
+                if policy.delay_resume_same_round:
+                    last[cid] = train(cid, broadcast, r)
+                    entries.append((cid, last[cid], True))
+                    continue
+            if stale_serving and cid in last:
+                entries.append((cid, last[cid], False))
+        if not entries:
+            stop("starvation", r)
+
+        total = sum(n for _, (_, n, _), _ in entries)
+        if plan.aggregator == "weighted":
+            weights = [n / total for _, (_, n, _), _ in entries]
+        else:
+            weights = [1.0 / len(entries)] * len(entries)
+        vecs = [v for _, (v, _, _), _ in entries]
+        acc = weights[0] * vecs[0]
+        for w, v in zip(weights[1:], vecs[1:]):
+            acc = acc + w * v
+        lo, hi = vecs[0], vecs[0]
+        for v in vecs[1:]:
+            lo, hi = np.minimum(lo, v), np.maximum(hi, v)
+        values = np.minimum(np.maximum(acc, lo), hi)
+        if noise is not None and noise.placement == "server":
+            values = noised(values, (plan.seed, 3, r), r)
+        labels = [f"{cid}:fresh" if fresh else f"{cid}:stale({r - produced})"
+                  for cid, (_, _, produced), fresh in entries]
+        audit.append(f"round {r} aggregate participants={','.join(labels)} weights="
+                     + ",".join(f"{cid}:{w!r}" for (cid, _, _), w in zip(entries, weights))
+                     + f" total_n={total}")
+        loss, accuracy, auc = evaluate(values, plan.global_test)
+
+        for ev in plan.events:
+            if ev.kind == "leave" and ev.round_index == r:
+                departed.add(ev.client_id)
+                if policy.departure == "drop-history":
+                    last.pop(ev.client_id, None)
+                audit.append(f"round {r} leave client={ev.client_id} policy={policy.departure}")
+
+        per_client = []
+        for cid in sorted(clients):
+            test = clients[cid][0].test
+            if cid not in departed and test.n:
+                c_loss, c_acc = loss_accuracy(values, test)
+                per_client.append(f"{cid}:{c_loss!r}:{c_acc!r}")
+        fresh_times = [clients[cid][1] for cid, _, fresh in entries if fresh]
+        sim_time = tc.epochs * max(fresh_times) if fresh_times else 0.0
+        rows.append(",".join([str(r), repr(float(sim_time)), ";".join(labels), repr(loss),
+                              repr(accuracy), repr(auc), ";".join(per_client)]))
+    return "".join(row + "\r\n" for row in rows), audit, values

@@ -787,6 +787,21 @@ def test_cli_sweep_applies_a_policy_override(tmp_path):
     }
 
 
+def test_cli_sweep_runs_a_repeated_policy_once_in_first_given_order(tmp_path, capsys):
+    # Repeated integers are deduplicated and sorted: test_cli_sweep_rounds.
+    a, b = "retain-last+use-stale-accept-any", "drop-history+exclude-until-current"
+    out = tmp_path / "pol"
+    assert main(["sweep", "--config", _write(tmp_path, _base_cfg()), "--out", str(out),
+                 "--variable", "policy", "--values", f"{a},{b},{a},{b}"]) == 0
+    runs = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+            if "sim_time_s=" in line]
+    assert runs == [f"policy={a}", f"policy={b}"]
+    root = out / "sweep_policy"
+    assert sorted(p.name for p in root.iterdir() if p.is_dir()) == sorted(runs)
+    with (root / "comparison.csv").open() as fh:
+        assert [r["value"] for r in csv.DictReader(fh)] == [a, b]
+
+
 def test_cli_sweep_builds_one_plan_per_value_and_never_the_base(tmp_path, monkeypatch):
     built = []
 

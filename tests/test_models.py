@@ -337,7 +337,7 @@ def test_mlp_forward_is_the_gradient_paths_p_and_leaves_its_inputs_alone(activat
 
 def _peak_bytes(call):
     """Peak traced allocation of ``call()``, after one untimed warm-up call
-    (numpy's first ``np.unique`` keeps about 1 MB for later calls)."""
+    (a first call may set up caches that later calls reuse)."""
     call()
     tracemalloc.start()
     try:

@@ -1,6 +1,7 @@
 """Property tests over random valid event scripts and every policy
 combination, over single-leaf mutations of the demo configs, and over the
-rows that partition, subset and a holdout split take from a dataset."""
+rows that partition, subset and a holdout split take from a dataset and
+the sample-id rule they share."""
 
 import io
 import json
@@ -14,19 +15,23 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim.orchestrator as orch
 from fedsim.cli import main
 from fedsim.config import _holdout_split
-from fedsim.models import Dataset, ModelSpec, TrainConfig
+from fedsim.metrics import evaluate, loss_accuracy
+from fedsim.models import Dataset, ModelSpec, ParameterSet, TrainConfig, _distinct
 from fedsim.orchestrator import (
     ClientSetup,
+    DivergenceError,
     IntermittencyEvent,
     NoiseConfig,
     PolicyConfig,
     PolicyStarvationError,
+    RunAborted,
     SimPlan,
     run,
     simulated_time,
@@ -40,8 +45,9 @@ from fedsim.partition import (
     make_synthetic,
     partition,
 )
+from fedsim.report import write_events_log, write_rounds_csv
 
-from _oracles import delay_phase_reference
+from _oracles import ReferenceAborted, delay_phase_reference, run_reference
 
 MAX_INITIAL, MAX_JOINS = 3, 2
 SHARDS = partition(
@@ -220,6 +226,56 @@ def _leaf_paths(node, path=()):
         return
     for key, child in node.items():
         yield from _leaf_paths(child, path + (key,))
+
+
+MODELS = [
+    ModelSpec("logistic-regression", input_dim=2),
+    ModelSpec("mlp-1hidden", input_dim=2, hidden_dim=3),
+    ModelSpec("mlp-1hidden", input_dim=2, hidden_dim=2, activation="sigmoid"),
+]
+ABORTS = {"starvation": PolicyStarvationError, "divergence": DivergenceError, "noise": RunAborted}
+
+
+def _written(rounds, audit):
+    """``rounds.csv`` and ``events.log`` bytes as the report writers render them."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_rounds_csv(rounds, Path(tmp) / "rounds.csv")
+        write_events_log(audit, Path(tmp) / "events.log")
+        return (Path(tmp) / "rounds.csv").read_bytes(), (Path(tmp) / "events.log").read_bytes()
+
+
+def _rendered(rounds_csv, audit):
+    """The reference's ``rounds.csv`` text and audit lines as file bytes."""
+    return rounds_csv.encode(), "".join(line + "\n" for line in audit).encode()
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=20)
+@given(plans(), st.sampled_from(MODELS))
+def test_run_matches_the_whole_run_reference_under_every_policy(plan, model):
+    plan = replace(plan, model=model)
+
+    def metrics(values, dataset):
+        m = evaluate(model, ParameterSet(values, model.layer_shapes), dataset)
+        return m.loss, m.accuracy, m.auc
+
+    def client(values, dataset):
+        return loss_accuracy(model, ParameterSet(values, model.layer_shapes), dataset)
+
+    for policy in POLICIES:
+        variant = replace(plan, policy=policy)
+        try:
+            rounds_csv, audit, final = run_reference(variant, metrics, client)
+        except ReferenceAborted as ref:
+            with pytest.raises(RunAborted) as got:
+                run(variant)
+            assert type(got.value) is ABORTS[ref.reason]
+            assert got.value.round_index == ref.round_index
+            assert _written(got.value.completed, got.value.audit_log) == _rendered(
+                ref.rounds_csv, ref.audit)
+            continue
+        report = run(variant)
+        assert _written(report.rounds, report.audit_log) == _rendered(rounds_csv, audit)
+        assert report.final_params.values.tobytes() == final.tobytes()
 
 
 @st.composite
@@ -423,3 +479,15 @@ def test_rows_taken_from_a_dataset_keep_its_checks(case):
         _assert_rebuilds_read_only(test)
         assert not set(train.ids.tolist()) & set(test.ids.tolist())
     _assert_rebuilds_read_only(master.subset(np.array(positions, dtype=np.int64)))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(st.lists(st.one_of(st.integers(-3, 3),  # small values repeat often
+                          st.sampled_from([int(_INT64.min), int(_INT64.max)]),
+                          st.integers(int(_INT64.min), int(_INT64.max))), max_size=300))
+def test_distinct_ids_agree_with_numpys_unique(values):
+    ids = np.array(values, dtype=np.int64)
+    assert _distinct(ids) == (np.unique(ids).size == ids.size)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.seeding import derive_seed, rng_from
+from fedsim.seeding import _KeySequence, derive_seed, rng_from
 
 
 def test_same_key_same_stream():
@@ -80,3 +80,22 @@ def test_seed_parts_must_be_integers():
             rng_from(bad)
     assert derive_seed(np.int64(5), np.uint32(2)) == derive_seed(5, 2)
     assert rng_from(np.uint64(2**63)).random() == rng_from(2**63).random()
+
+
+def test_pcg64_asks_only_for_four_uint64_words(monkeypatch):
+    """The replica copies numpy for this one request; any other is numpy's own method,
+    so a numpy that asks for more is named here rather than slowed down unseen."""
+    requests = []
+    real = _KeySequence.generate_state
+
+    def recording(self, n_words, dtype=np.uint32):
+        requests.append((n_words, np.dtype(dtype)))
+        return real(self, n_words, dtype)
+
+    monkeypatch.setattr(_KeySequence, "generate_state", recording)
+    rng = rng_from(7, 3)
+    rng.permutation(10)
+    rng.uniform(-1.0, 1.0, 5)
+    rng.standard_normal(5)
+    rng.integers(0, 100, 5)
+    assert requests == [(4, np.dtype(np.uint64))], f"numpy now asks for {requests}"
