@@ -9,12 +9,12 @@ output_dir, FEDSIM_OUT environment variable, and must lie under a writable
 directory; an output file that cannot be written there is a validation error.
 --seed and --format are edits to the config before its one validation.
 
-A sweep validates the base config without building it, then every value's
-config, once, before the first value runs: the base deep-merged with its
-``sweeps.<variable>.<value>`` override (keyed by the value as written,
-``departure+delay`` for policy) and then with the variable's own edit, which
-wins.  Errors that need the data surface only when a value is built.  A
-value's errors are prefixed ``<variable>=<value>: ``.
+A sweep validates the base config without building it, then validates and
+builds every value's config, once, before the first value runs: the base
+deep-merged with its ``sweeps.<variable>.<value>`` override (``--values``
+and the override keys are read alike, by ``config.sweep_value``) and then
+with the variable's own edit, which wins.  A value's errors are prefixed
+``<variable>=<value>: ``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .config import (
     build_plan,
     deep_merge,
     load_config_file,
+    sweep_value,
     validate_clients,
     validate_config,
 )
@@ -44,7 +45,6 @@ from .orchestrator import (
     run,
     static_sim_time,
     sweep_seed,
-    validate_plan,
 )
 from .report import (
     centralized_comparison,
@@ -92,13 +92,13 @@ def _edited_config(args: argparse.Namespace) -> dict:
     return validate_config(raw)
 
 
-def _resolve_out(args: argparse.Namespace, output_dir: str | None) -> Path:
+def _resolve_out(args: argparse.Namespace, cfg: dict) -> Path:
     """The output directory, refused before anything runs unless its nearest
     existing ancestor is a writable directory."""
     if args.out:
         source, out = "--out", Path(args.out)
-    elif output_dir:
-        source, out = "output_dir", Path(args.config).parent / output_dir
+    elif cfg.get("output_dir"):
+        source, out = "output_dir", Path(args.config).parent / cfg["output_dir"]
     elif os.environ.get("FEDSIM_OUT"):
         source, out = "FEDSIM_OUT", Path(os.environ["FEDSIM_OUT"])
     else:
@@ -131,17 +131,17 @@ def _run_and_write(rc: RunConfig, out_dir: Path) -> RunReport:
         write_run_outputs,
         report,
         out_dir,
-        formats=rc.report_formats,
-        roc_rounds=rc.roc_rounds,
+        formats=rc.echo["report_formats"],
+        roc_rounds=rc.echo["roc_rounds"],
         config_echo=rc.echo,
-        centralized_epoch_time_s=rc.centralized_epoch_time_s,
+        centralized_epoch_time_s=rc.echo.get("centralized_epoch_time_s"),
     )
     return report
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     rc = build_plan(_edited_config(args), base_dir=Path(args.config).parent)
-    out_dir = _resolve_out(args, rc.output_dir)
+    out_dir = _resolve_out(args, rc.echo)
     s = _run_and_write(rc, out_dir).summary
     print(f"completed {s.rounds_completed} rounds in {s.total_sim_time_s!r} simulated seconds")
     print(
@@ -153,7 +153,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     rc = build_plan(_edited_config(args), base_dir=Path(args.config).parent)
-    validate_plan(rc.plan)
     plan = rc.plan
     print("config ok")
     print(f"clients: {len(plan.clients)}")
@@ -162,7 +161,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     times = [c.epoch_time_s for c in plan.clients]
     static = static_sim_time(plan.n_rounds, plan.train.epochs, times)
     print(f"static_sim_time_s: {static!r}")
-    baseline = centralized_comparison(plan, rc.centralized_epoch_time_s, static)
+    baseline = centralized_comparison(plan, rc.echo.get("centralized_epoch_time_s"), static)
     if baseline:
         print(f"centralized_time_s: {baseline['centralized_time_s']!r}")
     for c in plan.clients:
@@ -174,20 +173,12 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _parse_sweep_values(variable: str, raw: str) -> list:
-    values = list(dict.fromkeys(v.strip() for v in raw.split(",") if v.strip()))  # first-seen order
-    if not values:
+    """The distinct values of ``--values``: integers ascending, policies in first-given order."""
+    texts = [v for v in raw.split(",") if v.strip()]
+    if not texts:
         raise ConfigValidationError("--values: expected at least one value")
-    if variable == "policy":
-        for v in values:
-            if "+" not in v:
-                raise ConfigValidationError(
-                    f"--values: policy values look like departure+delay, got {v!r}"
-                )
-        return values
-    try:
-        return sorted({int(v) for v in values})
-    except ValueError as exc:
-        raise ConfigValidationError(f"--values: expected integers for {variable}") from exc
+    values = dict.fromkeys(sweep_value(variable, v, "--values") for v in texts)
+    return list(values) if variable == "policy" else sorted(values)
 
 
 def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
@@ -216,20 +207,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = _edited_config(args)
     overrides = base.pop("sweeps", {}).get(args.variable, {})
     values = _parse_sweep_values(args.variable, args.values)
-    out_dir = _resolve_out(args, base.get("output_dir"))
+    out_dir = _resolve_out(args, base)
     sweep_root = out_dir / f"sweep_{args.variable.replace('_', '-')}"
-    configs, runs = [], []
+    built, runs = [], []
     try:
         for index, value in enumerate(values):
             name = f"{args.variable}={value}"
-            cfg = deep_merge(base, overrides.get(str(value), {}))  # keyed by the value as written
+            cfg = deep_merge(base, overrides.get(str(value), {}))  # validate_config keyed them so
             edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
-            configs.append(validate_config(deep_merge(cfg, edit)))
-        for value, cfg in zip(values, configs):  # every value checked, now run each
+            built.append(build_plan(validate_config(deep_merge(cfg, edit)), Path(args.config).parent))
+        for value, rc in zip(values, built):  # every value built and checked, now run each
             name = f"{args.variable}={value}"
-            rc = build_plan(cfg, base_dir=Path(args.config).parent)
             s = _run_and_write(rc, sweep_root / name).summary
-            baseline = centralized_comparison(rc.plan, rc.centralized_epoch_time_s, s.total_sim_time_s)
+            epoch_time_s = rc.echo.get("centralized_epoch_time_s")
+            baseline = centralized_comparison(rc.plan, epoch_time_s, s.total_sim_time_s)
             runs.append((str(value), s, baseline))
             print(f"{name}: sim_time_s={s.total_sim_time_s!r}")
     except (ConfigParseError, ConfigValidationError, PlanValidationError, RunAborted) as exc:

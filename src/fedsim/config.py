@@ -20,14 +20,15 @@ ids, ROC rounds and the holdout fraction and, with the shared
 learning rate > 0 and the named options (aggregator, report formats,
 source types, event kinds, sweep variables), all before any data is read.
 A source type, event kind or sweep variable picks a schema, so a bad one
-is a ConfigParseError.
+is a ConfigParseError.  ``sweeps`` keys are read by ``sweep_value``, as
+``--values`` is, and re-keyed by the value they name, which must differ.
 
 An absent optional key takes its owner's field default, except in
 ``model``, whose echo keeps only the keys written.  ``build_plan`` takes
 what ``validate_config`` returned, materializes datasets, cuts client
-shards and returns a SimPlan together with the reporting options.  The
-resolved config is echoed into summary.json, and feeding that echo back
-through this module reproduces the same plan.
+shards, checks the SimPlan with ``validate_plan`` and returns it with the
+config it came from.  That resolved config is echoed into summary.json,
+and feeding the echo back through this module reproduces the same plan.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .orchestrator import (
     NoiseConfig,
     PolicyConfig,
     SimPlan,
+    validate_plan,
 )
 from .partition import (
     RANDOM_UNIFORM,
@@ -76,15 +78,22 @@ class ConfigValidationError(ValueError):
     """Well-formed config with inconsistent or infeasible values."""
 
 
+def sweep_value(variable: str, text: str, where: str) -> int | str:
+    """A sweep value as ``--values`` and the ``sweeps`` keys write it (``where``):
+    an integer for ``client-count`` and ``N_r``, the stripped text for ``policy``."""
+    if variable == "policy":
+        return text.strip()
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigValidationError(f"{where}: expected an integer, got {text.strip()!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config plus the reporting options it carried."""
+    """A checked plan and the config it was built from."""
 
     plan: SimPlan
-    output_dir: str | None
-    report_formats: tuple[str, ...]
-    roc_rounds: tuple[int, ...]
-    centralized_epoch_time_s: float | None
     echo: dict  # resolved config, defaults filled in
 
 
@@ -330,13 +339,17 @@ def validate_config(raw: dict) -> dict:
     if "centralized_epoch_time_s" in cfg:
         _rule(positive, cfg["centralized_epoch_time_s"], "centralized_epoch_time_s")
 
-    if "sweeps" in cfg:
-        for var, table in cfg["sweeps"].items():
-            _rule(choice, var, f"sweeps.{var}", SWEEP_VARIABLES, error=ConfigParseError)
-            if not isinstance(table, dict):
-                raise ConfigParseError(f"sweeps.{var}: expected an object keyed by value")
-            for value, override in table.items():
-                _check_type(override, dict, f"sweeps.{var}.{value}")
+    for var, table in cfg.get("sweeps", {}).items():
+        _rule(choice, var, f"sweeps.{var}", SWEEP_VARIABLES, error=ConfigParseError)
+        if not isinstance(table, dict):
+            raise ConfigParseError(f"sweeps.{var}: expected an object keyed by value")
+        keyed = cfg["sweeps"][var] = {}  # by the value each key names, as the sweep looks it up
+        for key, override in table.items():
+            _check_type(override, dict, f"sweeps.{var}.{key}")
+            value = str(sweep_value(var, key, f"sweeps.{var}.{key}"))
+            if value in keyed:
+                raise ConfigValidationError(f"sweeps.{var}.{key}: another key names the value {value}")
+            keyed[value] = override
 
     _domain_values(cfg)
     return cfg
@@ -367,8 +380,8 @@ def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset
 
 
 def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
-    """Materialize datasets and assemble the SimPlan a config describes;
-    ``cfg`` is what ``validate_config`` returned."""
+    """Materialize datasets and assemble the SimPlan a config describes, checked
+    by ``validate_plan``; ``cfg`` is what ``validate_config`` returned."""
     values = _domain_values(cfg)
     base_dir = Path(base_dir)
 
@@ -413,14 +426,8 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
         aggregator=cfg["aggregator"],
         noise=values["noise"],
     )
-    return RunConfig(
-        plan=plan,
-        output_dir=cfg.get("output_dir"),
-        report_formats=tuple(cfg["report_formats"]),
-        roc_rounds=tuple(cfg["roc_rounds"]),
-        centralized_epoch_time_s=cfg.get("centralized_epoch_time_s"),
-        echo=cfg,
-    )
+    validate_plan(plan)
+    return RunConfig(plan=plan, echo=cfg)
 
 
 def deep_merge(base: dict, override: dict) -> dict:

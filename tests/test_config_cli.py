@@ -22,6 +22,7 @@ from fedsim.config import (
     deep_merge,
     validate_config,
 )
+from fedsim.orchestrator import PlanValidationError
 from fedsim.partition import make_synthetic, write_dataset_csv
 
 
@@ -321,6 +322,10 @@ def test_event_schema():
     cfg["events"] = [{"round": 2, "kind": "delay", "client": 0, "resume_round": 2}]
     with pytest.raises(ConfigValidationError, match="resume"):
         build_plan(validate_config(cfg))
+    # a built plan has passed validate_plan
+    cfg["events"] = [{"round": 2, "kind": "leave", "client": 9}]
+    with pytest.raises(PlanValidationError, match="^round 2: leave targets inactive client 9$"):
+        build_plan(validate_config(cfg))
 
 
 def test_build_plan_shapes():
@@ -330,11 +335,25 @@ def test_build_plan_shapes():
     assert sorted(c.shard.n_total for c in plan.clients) == [40, 40]
     assert plan.global_test.n == 40
     assert plan.seed == 5
-    assert rc.report_formats == ("csv", "json")
+    assert rc.echo["report_formats"] == ["csv", "json"]
     # the echoed config re-validates and rebuilds the same plan
     again = build_plan(validate_config(rc.echo))
     assert again.plan.seed == plan.seed
     assert [c.client_id for c in again.plan.clients] == [0, 1]
+
+
+def test_sweeps_keys_are_read_like_values_and_revalidate_to_themselves():
+    cfg = _base_cfg()
+    cfg["sweeps"] = {
+        "N_r": {" 02": {"rounds": 2}, "3": {}},
+        "policy": {" retain-last+use-stale-accept-any ": {"rounds": 1}},
+    }
+    once = validate_config(cfg)
+    assert once["sweeps"] == {
+        "N_r": {"2": {"rounds": 2}, "3": {}},
+        "policy": {"retain-last+use-stale-accept-any": {"rounds": 1}},
+    }
+    assert validate_config(once) == once
 
 
 def test_build_plan_infeasible_partition():
@@ -582,8 +601,12 @@ def _holdout_leaving_no_training_data():
      "parse error: sweeps.N_r: expected an object keyed by value\n"),
     (_holdout_leaving_no_training_data(), 3,
      "validation error: data.global_test.fraction leaves no training data\n"),
+    ({**_base_cfg(), "sweeps": {"N_r": {"abc": {}}}}, 3,
+     "validation error: sweeps.N_r.abc: expected an integer, got 'abc'\n"),
+    ({**_base_cfg(), "sweeps": {"N_r": {"2": {}, "02": {}}}}, 3,
+     "validation error: sweeps.N_r.02: another key names the value 2\n"),
 ], ids=["top-level-list", "unreadable-path", "event-not-object", "sweep-table-not-object",
-        "holdout-leaves-no-training-data"])
+        "holdout-leaves-no-training-data", "sweep-key-not-a-value", "sweep-keys-name-one-value"])
 def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code, expected):
     if config is None:
         path = tmp_path / "config-dir"
@@ -759,14 +782,32 @@ def test_cli_sweep_override_table(tmp_path):
     assert [c["epoch_time_s"] for c in payload["config"]["clients"]] == [1.0, 2.0, 4.0]
 
 
-def test_cli_sweep_value_parsing(tmp_path):
+def test_cli_sweep_value_parsing(tmp_path, capsys):
     cfg_path = _write(tmp_path, _base_cfg())
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"),
                  "--variable", "N_r", "--values", " , "]) == 3
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"),
                  "--variable", "N_r", "--values", "two"]) == 3
+    assert "--values: expected an integer, got 'two'" in capsys.readouterr().err
     assert main(["sweep", "--config", cfg_path, "--out", str(tmp_path / "x"),
                  "--variable", "policy", "--values", "drop-history"]) == 3
+    # no departure+delay pre-check: the policy rules name the missing half
+    assert capsys.readouterr().err.startswith(
+        "validation error: policy=drop-history: policy: delay must be one of "
+    )
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("key, values", [("02", "02"), ("02", "2"), ("2", "02")],
+                         ids=["key-02-value-02", "key-02-value-2", "key-2-value-02"])
+def test_cli_sweep_override_keys_are_read_like_values(tmp_path, key, values):
+    cfg = _base_cfg()
+    cfg["sweeps"] = {"N_r": {key: {"train": {"epochs": 3}}}}
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--variable", "N_r", "--values", values]) == 0
+    summary = json.loads((out / "sweep_N-r" / "N_r=2" / "summary.json").read_text())
+    assert summary["config"]["train"]["epochs"] == 3
 
 
 def test_cli_sweep_applies_a_policy_override(tmp_path):
@@ -983,6 +1024,22 @@ def test_cli_sweep_checks_every_value_before_the_first_run(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "validation error: policy=bogus+x: policy: departure must be one of "
         "('drop-history', 'retain-last'), got 'bogus'\n"
+    )
+    assert not out.exists()
+
+
+def test_cli_sweep_builds_and_checks_every_plan_before_the_first_run(tmp_path, capsys):
+    # four clients take ids 0-3, so the join of client 3 no longer fits the script
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "leave_join.json"
+    cfg = json.loads(demo.read_text())
+    for client in cfg["clients"]:
+        client["epoch_time_s"] = 20.0
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--variable", "client-count", "--values", "3,4"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "validation error: client-count=4: round 5: join re-uses client id 3\n"
     )
     assert not out.exists()
 

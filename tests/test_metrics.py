@@ -1,5 +1,6 @@
 import csv
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from fedsim.metrics import (
     roc_auc,
     summarize,
 )
-from fedsim.models import ModelSpec, ParameterSet, forward, init_params
+from fedsim.models import Dataset, ModelSpec, ParameterSet, forward, init_params
 from fedsim.orchestrator import RoundRecord, RunReport
 from fedsim.partition import make_synthetic
 
@@ -145,6 +146,30 @@ def test_accuracy_is_the_python_float_mean_of_correct_predictions(n):
 def test_roc_auc_refuses_labels_other_than_0_and_1(labels):
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
         roc_auc(np.array([0.2, 0.5, 0.7]), np.array(labels))
+
+
+_LR1 = ModelSpec("logistic-regression", input_dim=1)
+_NO_ROWS = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: MetricSet(0.5, 0.5, 1.5, 10), "auc must lie in [0, 1]"),
+    (lambda: RocCurve(np.array([[0.0, 0.0]])), "a ROC curve needs at least two (fpr, tpr) points"),
+    (lambda: roc_auc(np.array([0.2, 0.7]), np.array([1])),
+     "scores and labels must be nonempty and of equal length"),
+    (lambda: roc_auc(np.array([]), np.array([])),
+     "scores and labels must be nonempty and of equal length"),
+    (lambda: evaluate(_LR1, init_params(_LR1, 0), _NO_ROWS), "cannot evaluate on an empty dataset"),
+    (lambda: loss_accuracy(_LR1, init_params(_LR1, 0), _NO_ROWS),
+     "cannot evaluate on an empty dataset"),
+    (lambda: summarize(RunReport(plan=None, rounds=[], total_sim_time_s=0.0, final_params=None,
+                                 audit_log=[])),
+     "cannot summarize a run with no completed rounds"),
+], ids=["auc-above-one", "one-point-curve", "unequal-lengths", "no-scores", "evaluate-no-rows",
+        "loss-accuracy-no-rows", "summarize-no-rounds"])
+def test_metric_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_roc_auc_takes_bool_and_whole_float_labels():

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 
@@ -63,6 +64,33 @@ def test_parameter_set_rejects_bad_input():
         ParameterSet(np.array([[1.0, 2.0]]), (("output_kernel", (2,)),))
     with pytest.raises(ValueError):
         ParameterSet(np.array([1.0, np.nan]), (("output_kernel", (2,)),))
+
+
+_TWO_ROWS = Dataset(np.zeros((2, 3)), np.array([0, 1]), np.array([0, 1]))
+_NO_ROWS = Dataset(np.zeros((0, 3)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+_CFG = TrainConfig(epochs=1, batch_size=2, learning_rate=0.1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Dataset(np.zeros(3), np.array([0, 1, 0]), np.array([0, 1, 2])),
+     "features must be 2-D, got shape (3,)"),
+    (lambda: Dataset(np.zeros((3, 2)), np.array([0, 1]), np.array([0, 1, 2])),
+     "features, labels and ids must agree in length"),
+    (lambda: forward(LR3, init_params(LR3, 0), np.zeros(3)), "features must be 2-D, got shape (3,)"),
+    (lambda: loss_and_grad(LR3, init_params(LR3, 0), np.zeros((2, 3)), np.array([1])),
+     "features and labels must agree in length"),
+    (lambda: loss_and_grad(LR3, init_params(LR3, 0), np.zeros((0, 3)), np.array([])),
+     "empty batch"),
+    (lambda: train_local(LR3, init_params(LR3, 0), _NO_ROWS, _CFG),
+     "cannot train on an empty dataset"),
+    (lambda: train_local(ModelSpec(LOGISTIC, input_dim=2), init_params(ModelSpec(LOGISTIC, 2), 0),
+                         _TWO_ROWS, _CFG),
+     "dataset width 3 does not match model input_dim 2"),
+], ids=["dataset-1d-features", "dataset-short-labels", "forward-1d-features",
+        "loss-short-labels", "loss-empty-batch", "train-no-rows", "train-width-mismatch"])
+def test_model_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_parameter_set_is_frozen():

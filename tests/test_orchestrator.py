@@ -12,7 +12,7 @@ import pytest
 import fedsim.orchestrator
 from fedsim.aggregation import Update, add_uniform_noise
 from fedsim.metrics import MetricSet
-from fedsim.models import ModelSpec, ParameterSet, TrainConfig, init_params, train_local
+from fedsim.models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from fedsim.orchestrator import (
     ClientSetup,
     DivergenceError,
@@ -461,6 +461,36 @@ def test_validate_plan_rejects_bad_scripts():
     for events in cases:
         with pytest.raises(PlanValidationError):
             validate_plan(_plan(events=events))
+
+
+_NO_ROWS = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+def _wide_shard(client_id):
+    wide = make_synthetic([[0, 0, 0], [2, 2, 2]], 1.0, (8, 8), seed=4)
+    return relabel_shard(partition(wide, PartitionPlan("random-uniform", 1, seed=4))[0], client_id)
+
+
+@pytest.mark.parametrize("plan, message", [
+    (lambda: _plan(global_test=_NO_ROWS), "global_test must be nonempty"),
+    (lambda: replace(_plan(), clients=_plan().clients[:1] * 2), "duplicate initial client ids"),
+    (lambda: _plan(events=(IntermittencyEvent.join(4, 8, _wide_shard(8), 1.0),)),
+     "round 4: joining client 8 shard width mismatch"),
+    (lambda: _plan(events=(IntermittencyEvent.delay(3, 7, 5),)),
+     "round 3: delay targets inactive client 7"),
+], ids=["empty-global-test", "duplicate-clients", "join-width-mismatch", "delay-unknown-client"])
+def test_validate_plan_names_what_is_wrong(plan, message):
+    with pytest.raises(PlanValidationError, match=f"^{re.escape(message)}$"):
+        validate_plan(plan())
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: IntermittencyEvent(3, "leave", 1, resume_round=5), "a leave event takes no resume_round"),
+    (lambda: static_sim_time(10, 1, ()), "static_sim_time needs at least one client time"),
+], ids=["leave-with-resume", "no-client-times"])
+def test_event_and_clock_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_validate_plan_basic_fields():

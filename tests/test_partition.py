@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,20 @@ def test_relabel_shard():
     assert np.array_equal(renamed.train.ids, shard.train.ids)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: PartitionPlan("random-uniform", 2, positive_fractions=(0.5,)),
+     "positive_fractions length must equal client_count"),
+    (lambda: ClientShard(0, _master(2, 2).subset(np.arange(0)), _master(2, 2).subset([0])),
+     "a shard needs at least one training sample"),
+    (lambda: ClientShard(0, _master(2, 2, d=3).subset([0]), _master(2, 2, d=2).subset([1])),
+     "train and test feature widths differ"),
+    (lambda: skew_report([]), "skew_report needs at least one shard"),
+], ids=["fractions-length", "shard-no-training-rows", "shard-width-mismatch", "skew-no-shards"])
+def test_partition_inputs_are_checked(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_shard_rejects_overlapping_train_test():
     ds = _master(5, 5)
     with pytest.raises(ValueError):
@@ -308,6 +323,9 @@ def test_dataset_csv_rejects_malformed(tmp_path):
         read_dataset_csv(path)
     path.write_text("id,label,f0\n0,1\n")
     with pytest.raises(ValueError):
+        read_dataset_csv(path)
+    path.write_text("label,id,f0\n1,0,0.5\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected header id,label,f0..")):
         read_dataset_csv(path)
 
 
