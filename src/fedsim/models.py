@@ -87,20 +87,17 @@ class ParameterSet:
         return _adopt(np.array(values, dtype=np.float64, copy=True), self.shapes)
 
 
-def _adopt(values: np.ndarray, shapes: LayerShapes, check: bool = True, into=None) -> ParameterSet:
-    """Freeze ``values`` (float64, normalised ``shapes``) into ``into`` or a new
-    ParameterSet, without a copy.  ``check=False`` skips validation; only
-    ``train_local`` passes it, for its own working vector, checked on exit.
-    """
+def _adopt(values: np.ndarray, shapes: LayerShapes, into=None) -> ParameterSet:
+    """Check and freeze ``values`` (float64, normalised ``shapes``) into ``into``
+    or a new ParameterSet, without a copy."""
     ps = object.__new__(ParameterSet) if into is None else into
-    if check:
-        if values.ndim != 1:
-            raise ValueError(f"parameter values must be 1-D, got shape {values.shape}")
-        n = _entry_count(shapes)
-        if n != values.size:
-            raise ValueError(f"layer shapes describe {n} entries but vector has {values.size}")
-        if not np.isfinite(values).all():
-            raise ValueError("parameter values must be finite")
+    if values.ndim != 1:
+        raise ValueError(f"parameter values must be 1-D, got shape {values.shape}")
+    n = _entry_count(shapes)
+    if n != values.size:
+        raise ValueError(f"layer shapes describe {n} entries but vector has {values.size}")
+    if not np.isfinite(values).all():
+        raise ValueError("parameter values must be finite")
     values.setflags(write=False)
     object.__setattr__(ps, "values", values)
     object.__setattr__(ps, "shapes", shapes)
@@ -254,14 +251,6 @@ class TrainConfig:
         object.__setattr__(self, "seed", integer(self.seed, "seed"))
 
 
-def _fans(dims: tuple[int, ...]) -> tuple[int, int]:
-    # Kernels are either (fan_in, fan_out) matrices or (fan_in,) vectors
-    # feeding a single output unit.
-    if len(dims) == 2:
-        return dims[0], dims[1]
-    return dims[0], 1
-
-
 def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
     """Glorot-uniform kernels and zero biases, deterministic in (spec, seed).
 
@@ -275,7 +264,8 @@ def init_params(spec: ModelSpec, seed: int) -> ParameterSet:
         if name.endswith("bias"):
             parts.append(np.zeros(math.prod(dims)))
         else:
-            fan_in, fan_out = _fans(dims)
+            # Kernels are (fan_in, fan_out) matrices or (fan_in,) vectors feeding one output unit.
+            fan_in, fan_out = dims if len(dims) == 2 else (dims[0], 1)
             s = math.sqrt(6.0 / (fan_in + fan_out))
             parts.append(rng.uniform(-s, s, size=dims).ravel())
     return ParameterSet(np.concatenate(parts), spec.layer_shapes)
@@ -347,9 +337,17 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def loss_and_grad(
-    spec: ModelSpec, params: ParameterSet, features: np.ndarray, labels: np.ndarray
+    spec: ModelSpec, params: ParameterSet, features: np.ndarray, labels: np.ndarray,
+    *, _raw: bool = False,
 ) -> tuple[float, ParameterSet]:
-    """Batch cross-entropy and its analytic gradient in the params layout."""
+    """Batch cross-entropy and its analytic gradient in the params layout.
+
+    ``_raw=True`` is private to ``train_local``: raw vector and checked float64 batch in,
+    raw gradient out, with no checks and no loss.  Each SGD step still calls this module
+    global, because the benchmark (``bench/spans.py``) counts steps by patching it.
+    """
+    if _raw:
+        return _KERNELS[spec.kind](spec, params, features, labels)[1]
     X = _check_features(spec, features)
     _check_params(spec, params)
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -382,14 +380,14 @@ def train_local(
         )
     if cfg.epochs == 0:
         return params, 0
-    shapes, n, bs, lr = params.shapes, dataset.n, cfg.batch_size, cfg.learning_rate
+    n, bs, lr = dataset.n, cfg.batch_size, cfg.learning_rate
     values = params.values
     for epoch in range(cfg.epochs):
         order = rng_from(cfg.seed, epoch).permutation(n)
         X = dataset.features[order]
         y = dataset.labels[order].astype(np.float64)
         for start in range(0, n, bs):
-            step = _adopt(values, shapes, check=False)
-            _, grad = loss_and_grad(spec, step, X[start : start + bs], y[start : start + bs])
-            values = values - lr * grad.values
-    return _adopt(values, shapes), cfg.epochs
+            batch = slice(start, start + bs)
+            grad = loss_and_grad(spec, values, X[batch], y[batch], _raw=True)
+            values = values - lr * grad
+    return _adopt(values, params.shapes), cfg.epochs

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +255,10 @@ def partition(master: Dataset, plan: PartitionPlan) -> list[ClientShard]:
 
 
 def relabel_shard(shard: ClientShard, client_id: int) -> ClientShard:
-    """Same data under a different client id."""
-    return replace(shard, client_id=client_id)
+    """Same data under a different client id; the data keeps the shard's checks."""
+    out = object.__new__(ClientShard)
+    out.__dict__.update(vars(shard), client_id=integer(client_id, "client_id"))
+    return out
 
 
 def skew_report(shards: list[ClientShard]) -> SkewReport:

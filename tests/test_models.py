@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import fedsim.models
 from fedsim.models import (
     ACTIVATIONS,
     LOGISTIC,
@@ -431,6 +432,41 @@ def test_train_local_is_bitwise_the_checked_step_loop(spec, epochs):
         assert got.shapes == spec.layer_shapes
         assert params.values.tobytes() == before.tobytes()
         assert not params.values.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [LR3, MLP23, ModelSpec(MLP, input_dim=2, hidden_dim=3, activation="sigmoid")],
+    ids=["logistic", "mlp-relu", "mlp-sigmoid"],
+)
+def test_raw_step_gradient_is_bitwise_the_public_gradient(spec):
+    # 23 rows in batches of 5, as train_local slices them: four full batches and a short one.
+    params, ds = _oracle_case(spec, 23, seed=4)
+    X, y = ds.features, ds.labels.astype(np.float64)
+    for start in range(0, ds.n, 5):
+        Xb, yb = X[start : start + 5], y[start : start + 5]
+        raw = loss_and_grad(spec, params.values, Xb, yb, _raw=True)
+        assert type(raw) is np.ndarray
+        assert np.array_equal(raw, loss_and_grad(spec, params, Xb, yb)[1].values)
+    assert Xb.shape[0] == 3
+
+
+@pytest.mark.parametrize("n, batch_size, epochs", [(23, 5, 3), (10, 16, 2), (20, 4, 1)])
+def test_train_local_calls_loss_and_grad_once_per_step(monkeypatch, n, batch_size, epochs):
+    params, ds = _oracle_case(MLP23, n, seed=n)
+    cfg = TrainConfig(epochs, batch_size, 0.4, seed=3)
+    want, _ = train_local(MLP23, params, ds, cfg)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[3].size)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim.models, "loss_and_grad", counted)
+    got, _ = train_local(MLP23, params, ds, cfg)
+    assert len(calls) == epochs * math.ceil(n / batch_size)
+    assert sum(calls) == epochs * n
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_train_local_divergence_still_raises():

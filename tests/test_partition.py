@@ -280,7 +280,12 @@ def test_relabel_shard():
     (shard,) = partition(master, PartitionPlan("random-uniform", 1, seed=0))
     renamed = relabel_shard(shard, 17)
     assert renamed.client_id == 17
-    assert np.array_equal(renamed.train.ids, shard.train.ids)
+    assert renamed.train is shard.train and renamed.test is shard.test
+    assert (shard.client_id, renamed) == (0, ClientShard(17, shard.train, shard.test))
+    with pytest.raises(TypeError, match=r"^client_id must be an integer, got 2\.5$"):
+        relabel_shard(shard, 2.5)
+    with pytest.raises(ValueError, match=r"^client_id must be >= 0, got -1$"):
+        relabel_shard(shard, -1)
 
 
 @pytest.mark.parametrize("call, message", [
