@@ -360,7 +360,7 @@ def loss_and_grad(
 
 
 def train_local(
-    spec: ModelSpec, params: ParameterSet, dataset: Dataset, cfg: TrainConfig
+    spec: ModelSpec, params: ParameterSet, dataset: Dataset, cfg: TrainConfig, *, _rngs=None
 ) -> tuple[ParameterSet, int]:
     """Plain mini-batch SGD for ``cfg.epochs`` passes over ``dataset``.
 
@@ -370,6 +370,7 @@ def train_local(
     parameters and the number of epochs run; the inputs are untouched.
     Parameters are validated on entry and on exit, not between steps; a
     run that diverges raises ``ValueError("parameter values must be finite")``.
+    ``_rngs[epoch]``, when given, is the generator ``rng_from(cfg.seed, epoch)``.
     """
     _check_params(spec, params)
     if dataset.n == 0:
@@ -383,7 +384,7 @@ def train_local(
     n, bs, lr = dataset.n, cfg.batch_size, cfg.learning_rate
     values = params.values
     for epoch in range(cfg.epochs):
-        order = rng_from(cfg.seed, epoch).permutation(n)
+        order = (rng_from(cfg.seed, epoch) if _rngs is None else _rngs[epoch]).permutation(n)
         X = dataset.features[order]
         y = dataset.labels[order].astype(np.float64)
         for start in range(0, n, bs):

@@ -57,7 +57,7 @@ from .metrics import MetricSet, RunSummary, evaluate, loss_accuracy, summarize
 from .models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from .partition import ClientShard
 from .rules import choice, integer, noise_amplitude, positive
-from .seeding import derive_seed
+from .seeding import _batch_states, _generator, derive_seed
 
 DROP_HISTORY = "drop-history"
 RETAIN_LAST = "retain-last"
@@ -76,6 +76,10 @@ DELAY = "delay"
 
 # Purpose tags for seed derivation; every stream key starts (plan_seed, tag).
 _INIT, _TRAIN, _CLIENT_NOISE, _SERVER_NOISE, _SWEEP = 0, 1, 2, 3, 4
+
+# Keys per seeding block: ``run`` seeds every known client for enough rounds to reach
+# this many, as a batch pass costs a fixed ~0.2 ms and then ~0.2 us a key.
+_BLOCK_KEYS = 1000
 
 
 def init_seed(plan_seed: int) -> int:
@@ -413,23 +417,48 @@ def run(plan: SimPlan) -> RunReport:
     records: list[RoundRecord] = []
     global_params = init_params(plan.model, init_seed(plan.seed))
 
-    def noised(params: ParameterSet, seed: int, r: int) -> ParameterSet:
+    client_noise = plan.noise is not None and plan.noise.placement == "client"
+    ids = sorted({*states, *(ev.client_id for evs in timeline.joins.values() for ev in evs)})
+    slot = {cid: i for i, cid in enumerate(ids)}
+    block: tuple = (0,)  # last round, first round, then the arrays seed_block returns
+
+    def seed_block(first: int) -> tuple:
+        """Train seeds, epoch-order states, and client-noise seeds and states of every known
+        client for the rounds of a block from ``first``, one batch pass each; the key
+        (client, r) is row ``(r - first) * len(ids) + slot[client]``."""
+        last = min(first - 1 + math.ceil(_BLOCK_KEYS / len(ids)), plan.n_rounds)
+        cids = np.array(ids, dtype=object if ids[-1] >> 64 else np.uint64)
+        rounds = np.arange(first, last + 1, dtype=np.uint64)
+        key = (np.tile(cids, len(rounds)), np.repeat(rounds, len(ids)))
+        seeds, epochs = _batch_states(plan.seed, _TRAIN, *key)[:, 0], plan.train.epochs
+        orders = _batch_states(np.repeat(seeds, epochs), np.tile(np.arange(epochs), len(seeds)))
+        noise = _batch_states(plan.seed, _CLIENT_NOISE, *key)[:, 0] if client_noise else None
+        return last, first, seeds, orders.reshape(len(seeds), epochs, 4), noise, (
+            _batch_states(noise) if client_noise else None)
+
+    def noised(params: ParameterSet, seed: int, r: int, rng=None) -> ParameterSet:
         try:
-            return add_uniform_noise(params, plan.noise.amplitude, seed)
+            return add_uniform_noise(params, plan.noise.amplitude, seed, _rng=rng)
         except ValueError as exc:  # the amplitude is checked, so only a non-finite result
             message = f"round {r}: {plan.noise.placement} noise produced non-finite parameters"
             audit.append(f"round {r} abort reason=noise placement={plan.noise.placement}")
             raise RunAborted(message, r, records, audit) from exc
 
     def train(st: ClientState, r: int) -> Update:
-        cfg = replace(plan.train, seed=train_seed(plan.seed, st.client_id, r))
+        nonlocal block
+        if r > block[0]:
+            block = seed_block(r)
+        _, first, seeds, orders, noise_seeds, noise_states = block
+        k = (r - first) * len(ids) + slot[st.client_id]
+        cfg = replace(plan.train, seed=int(seeds[k]))
         try:
-            params, _ = train_local(plan.model, global_params, st.shard.train, cfg)
+            params, _ = train_local(plan.model, global_params, st.shard.train, cfg,
+                                    _rngs=[_generator(words) for words in orders[k]])
         except ValueError as exc:  # after validation, only a non-finite result
             audit.append(f"round {r} abort reason=divergence client={st.client_id}")
             raise DivergenceError(st.client_id, r, records, audit) from exc
-        if plan.noise is not None and plan.noise.placement == "client":
-            params = noised(params, derive_seed(plan.seed, _CLIENT_NOISE, st.client_id, r), r)
+        if client_noise:
+            params = noised(params, int(noise_seeds[k]), r, _generator(noise_states[k]))
         return Update(st.client_id, params, st.shard.n_train, r)
 
     # Overflow ends in the finiteness checks' RunAborted, never in a numpy warning.

@@ -182,3 +182,18 @@ def test_aggregate_result_fields():
     assert isinstance(agg, AggregateResult)
     assert [cid for cid, _ in agg.weights_used] == [1, 2]  # ascending ids
     assert agg.total_n == 4
+
+
+def test_with_values_copies_and_results_are_read_only():
+    base = _pset([1.0, 2.0, 3.0])
+    mine = np.array([4.0, 5.0, 6.0])
+    copy = base.with_values(mine)
+    mine[0] = 99.0
+    assert copy.values.tolist() == [4.0, 5.0, 6.0]
+    noised = add_uniform_noise(base, 0.5, seed=3)
+    aggregates = [f([_update(0, [1.0, 2.0], 2), _update(1, [3.0, 0.0], 1)]).params
+                  for f in (weighted_fedavg, plain_average)]
+    for params in (copy, noised, *aggregates):
+        assert not params.values.flags.writeable
+        with pytest.raises(ValueError):
+            params.values[0] = 0.0

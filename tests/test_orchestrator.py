@@ -32,6 +32,8 @@ from fedsim.orchestrator import (
     validate_plan,
 )
 from fedsim.partition import PartitionPlan, make_synthetic, partition, relabel_shard
+from fedsim.report import write_run_outputs
+from fedsim.seeding import derive_seed, rng_from
 
 SPEC = ModelSpec("logistic-regression", input_dim=2)
 GLOBAL_TEST = make_synthetic([[-2, -2], [2, 2]], 1.0, (40, 40), seed=990)
@@ -586,9 +588,9 @@ def test_validate_plan_compiles_the_timeline():
 def test_excluded_late_update_is_never_trained(monkeypatch):
     trained = []
 
-    def spy(spec, params, dataset, cfg):
+    def spy(spec, params, dataset, cfg, **kwargs):
         trained.append(cfg.seed)
-        return train_local(spec, params, dataset, cfg)
+        return train_local(spec, params, dataset, cfg, **kwargs)
 
     monkeypatch.setattr(fedsim.orchestrator, "train_local", spy)
     plan = _plan(events=(IntermittencyEvent.delay(5, 1, 10),))
@@ -597,6 +599,54 @@ def test_excluded_late_update_is_never_trained(monkeypatch):
     assert len(trained) == 3 * 10 - 5  # client 1 does not train in rounds 5..9
     assert "round 5 delay client=1 update held back" in report.audit_log
     assert "round 10 late-delivery client=1 discarded" in report.audit_log
+
+
+def _churn_plan(delay):
+    """Joins (one id past 2**64), a leave and delays, two epochs and client noise."""
+    big = 2**64 + 3
+    events = (
+        IntermittencyEvent.join(2, 7, _joiner_shard(7), 5.0),
+        IntermittencyEvent.delay(2, 1, 4),
+        IntermittencyEvent.leave(3, 0),
+        IntermittencyEvent.join(4, big, _joiner_shard(big, seed=304), 3.0),
+        IntermittencyEvent.delay(5, 7, 7),
+        IntermittencyEvent.delay(6, big, 8),
+    )
+    return _plan(n_rounds=8, epochs=2, events=events, noise=NoiseConfig(0.05, "client"),
+                 policy=PolicyConfig(departure="retain-last", delay=delay))
+
+
+@pytest.mark.parametrize("delay", ["use-stale-accept-any", "exclude-until-current"])
+def test_batched_seeds_follow_the_scalar_key_rules(monkeypatch, tmp_path, delay):
+    plan = _churn_plan(delay)
+    keys = {train_seed(plan.seed, cid, r): (cid, r)
+            for cid in (0, 1, 2, 7, 2**64 + 3) for r in range(1, plan.n_rounds + 1)}
+    trained = []
+
+    def train_spy(spec, params, dataset, cfg, **kwargs):
+        assert len(kwargs["_rngs"]) == cfg.epochs == 2
+        for epoch, rng in enumerate(kwargs["_rngs"]):
+            assert rng.bit_generator.state == rng_from(cfg.seed, epoch).bit_generator.state
+        trained.append(keys[cfg.seed])
+        return train_local(spec, params, dataset, cfg, **kwargs)
+
+    def noise_spy(params, amplitude, seed, **kwargs):
+        cid, r = trained[-1]
+        assert seed == derive_seed(plan.seed, 2, cid, r)
+        assert kwargs["_rng"].bit_generator.state == rng_from(seed).bit_generator.state
+        return add_uniform_noise(params, amplitude, seed, **kwargs)
+
+    monkeypatch.setattr(fedsim.orchestrator, "train_local", train_spy)
+    monkeypatch.setattr(fedsim.orchestrator, "add_uniform_noise", noise_spy)
+    outputs = []
+    for block_keys in (fedsim.orchestrator._BLOCK_KEYS, 1):  # one block, then one round a block
+        monkeypatch.setattr(fedsim.orchestrator, "_BLOCK_KEYS", block_keys)
+        out = tmp_path / str(block_keys)
+        write_run_outputs(run(plan), out, formats=("csv",))
+        outputs.append([(out / name).read_bytes() for name in ("rounds.csv", "events.log")])
+    assert outputs[0] == outputs[1]
+    assert len(trained) == 2 * len(set(trained)) > 30
+    assert {cid for cid, _ in trained} == {0, 1, 2, 7, 2**64 + 3}
 
 
 def test_divergence_carries_completed_rounds():
