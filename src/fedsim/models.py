@@ -4,11 +4,14 @@ Two model kinds are supported: plain logistic regression and a
 one-hidden-layer MLP with a sigmoid output unit.  Parameters travel as
 a flat float64 vector plus layer-shape metadata so the federation
 machinery can exchange and average them coordinate-wise.  Each kind has
-one forward/backward kernel that works on the raw vector; ``ParameterSet``
-is validated where parameters cross this module's boundary.  So
-``train_local`` checks its parameters on entry and on exit, not at every
-step, and a run that diverges still raises ``ValueError("parameter values
-must be finite")``.  Everything here is a pure function: training returns
+one forward/backward kernel that works on the raw vector and writes a
+batch's gradient into a workspace (the gradient vector and, for the MLP, the
+hidden-layer arrays); ``train_local`` allocates one workspace, parameter copy
+and epoch of gathered rows per call, so an SGD step allocates no array of the
+batch's size.  ``ParameterSet`` is validated where parameters cross this
+module's boundary: ``train_local`` checks its parameters on entry and on exit,
+not at every step, and a run that diverges still raises ``ValueError("parameter
+values must be finite")``.  Everything here is a pure function: training returns
 new parameters and never mutates its inputs, and all randomness comes
 from explicitly seeded PCG64 streams, so a given (spec, params, data,
 config) tuple always reproduces the same bits on one platform.
@@ -42,13 +45,16 @@ LayerShapes = tuple[tuple[str, tuple[int, ...]], ...]
 _Out = tuple[np.ndarray, np.ndarray | None]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid(z: np.ndarray, out=None, e=None, pos=None) -> np.ndarray:
     # exp() sees only -|z| (as min(z, -z), which keeps a NaN's sign), so it cannot
     # overflow, and each branch gets the exp() argument a split by sign gives it.
-    e = np.exp(np.minimum(z, -z))
-    num = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    return np.divide(num, e, out=e)
+    # ``out`` (which may be ``z``), scratch ``e`` and bool ``pos`` have z's shape; None allocates.
+    e = np.negative(z, out=e)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    pos = np.greater_equal(z, 0, out=pos)
+    out = np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=pos)  # the numerator: 1 where z >= 0, else e
+    return np.divide(e, out, out=out)
 
 
 @dataclass(frozen=True)
@@ -287,32 +293,54 @@ def _check_params(spec: ModelSpec, params: ParameterSet) -> None:
         raise ValueError("parameter layout does not match the model spec")
 
 
-# One kernel per model kind, on the raw vector ``v``: it returns the sigmoid
-# outputs for ``X`` and, given float64 labels ``y``, the gradient of the mean
-# cross-entropy as a new vector in layout order.
-def _logistic(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> _Out:
+def _workspace(spec: ModelSpec, rows: int) -> tuple[np.ndarray, ...]:
+    """What a kernel writes a batch of up to ``rows`` rows into: the gradient vector and, for
+    the MLP, (rows, hidden) pre-activation, activation and hidden-gradient arrays and a mask."""
+    grad, shape = np.empty(spec.param_count), (rows, spec.hidden_dim)
+    if spec.kind == LOGISTIC:
+        return (grad,)
+    return grad, *(np.empty(shape) for _ in range(3)), np.empty(shape, dtype=bool)
+
+
+# One kernel per model kind, on the raw vector ``v``: it returns the sigmoid outputs for
+# ``X`` and, given float64 labels ``y`` and a ``_workspace``, the gradient of the mean
+# cross-entropy in layout order, written into the workspace's gradient vector.
+def _logistic(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _Out:
     p = _sigmoid(X @ v[:-1] + v[-1])
     if y is None:
         return p, None
+    (g,) = work
     dz = (p - y) / y.size  # d(mean BCE)/d(logit) through the sigmoid output
-    return p, np.concatenate([X.T @ dz, dz.sum(keepdims=True)])
+    np.matmul(X.T, dz, out=g[:-1])
+    np.add.reduce(dz, keepdims=True, out=g[-1:])
+    return p, g
 
 
-def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y: np.ndarray | None = None) -> _Out:
+def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _Out:
     d, h = spec.input_dim, spec.hidden_dim
-    w2 = v[d * h + h : -1]
-    z1 = X @ v[: d * h].reshape(d, h)
-    z1 += v[d * h : d * h + h]
+    k = d * h
+    w2 = v[k + h : -1]
+    # Without a workspace (evaluation) the activation overwrites z1, which nothing reads again.
+    g, z1, a, dh, mask = (work[0], *(w[: len(X)] for w in work[1:])) if work else (None,) * 5
+    z1 = np.matmul(X, v[:k].reshape(d, h), out=z1)
+    z1 += v[k : k + h]
+    a = z1 if a is None else a
     relu = spec.activation == "relu"
-    # Without labels nothing reads z1 again, so relu may overwrite it.
-    a = np.maximum(z1, 0.0, out=z1 if y is None else None) if relu else _sigmoid(z1)
+    a = np.maximum(z1, 0.0, out=a) if relu else _sigmoid(z1, a, dh, mask)
     p = _sigmoid(a @ w2 + v[-1])
     if y is None:
         return p, None
     dz = (p - y) / y.size
-    dh = dz[:, None] * w2[None, :]
-    dz1 = dh * (z1 > 0.0) if relu else dh * a * (1.0 - a)
-    return p, np.concatenate([(X.T @ dz1).ravel(), dz1.sum(axis=0), a.T @ dz, [dz.sum()]])
+    np.multiply(dz[:, None], w2[None, :], out=dh)
+    if relu:
+        np.multiply(dh, np.greater(z1, 0.0, out=mask), out=dh)
+    else:  # (dh * a) * (1 - a), with 1 - a in z1, which nothing reads again
+        np.multiply(np.multiply(dh, a, out=dh), np.subtract(1.0, a, out=z1), out=dh)
+    np.matmul(X.T, dh, out=g[:k].reshape(d, h))
+    np.add.reduce(dh, axis=0, out=g[k : k + h])
+    np.matmul(a.T, dz, out=g[k + h : -1])
+    np.add.reduce(dz, keepdims=True, out=g[-1:])
+    return p, g
 
 
 _KERNELS = {LOGISTIC: _logistic, MLP: _mlp}
@@ -338,16 +366,16 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def loss_and_grad(
     spec: ModelSpec, params: ParameterSet, features: np.ndarray, labels: np.ndarray,
-    *, _raw: bool = False,
+    *, _work=None,
 ) -> tuple[float, ParameterSet]:
     """Batch cross-entropy and its analytic gradient in the params layout.
 
-    ``_raw=True`` is private to ``train_local``: raw vector and checked float64 batch in,
-    raw gradient out, with no checks and no loss.  Each SGD step still calls this module
-    global, because the benchmark (``bench/spans.py``) counts steps by patching it.
+    ``_work``, a ``_workspace``, is private to ``train_local``: raw vector and checked float64
+    batch in, the workspace's gradient out, with no checks and no loss.  Each SGD step still
+    calls this module global, because the benchmark (``bench/spans.py``) patches it to count.
     """
-    if _raw:
-        return _KERNELS[spec.kind](spec, params, features, labels)[1]
+    if _work is not None:
+        return _KERNELS[spec.kind](spec, params, features, labels, _work)[1]
     X = _check_features(spec, features)
     _check_params(spec, params)
     y = np.asarray(labels, dtype=np.float64).ravel()
@@ -355,7 +383,7 @@ def loss_and_grad(
         raise ValueError("features and labels must agree in length")
     if y.size == 0:
         raise ValueError("empty batch")
-    p, grad = _KERNELS[spec.kind](spec, params.values, X, y)
+    p, grad = _KERNELS[spec.kind](spec, params.values, X, y, _workspace(spec, y.size))
     return bce_loss(p, y), _adopt(grad, params.shapes)
 
 
@@ -382,13 +410,17 @@ def train_local(
     if cfg.epochs == 0:
         return params, 0
     n, bs, lr = dataset.n, cfg.batch_size, cfg.learning_rate
-    values = params.values
+    # The copy that outlives the call comes first, so it does not split the hole the buffers leave.
+    values, work = params.values.copy(), _workspace(spec, min(bs, n))
+    labels = dataset.labels.astype(np.float64)
+    X, y = np.empty_like(dataset.features), np.empty_like(labels)
     for epoch in range(cfg.epochs):
         order = (rng_from(cfg.seed, epoch) if _rngs is None else _rngs[epoch]).permutation(n)
-        X = dataset.features[order]
-        y = dataset.labels[order].astype(np.float64)
+        # mode="clip" writes straight into ``out``; the default buffers. ``order`` is in range.
+        np.take(dataset.features, order, axis=0, out=X, mode="clip")
+        np.take(labels, order, out=y, mode="clip")
         for start in range(0, n, bs):
             batch = slice(start, start + bs)
-            grad = loss_and_grad(spec, values, X[batch], y[batch], _raw=True)
-            values = values - lr * grad
+            grad = loss_and_grad(spec, values, X[batch], y[batch], _work=work)
+            values -= np.multiply(lr, grad, out=grad)
     return _adopt(values, params.shapes), cfg.epochs

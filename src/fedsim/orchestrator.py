@@ -47,7 +47,7 @@ round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -450,7 +450,8 @@ def run(plan: SimPlan) -> RunReport:
             block = seed_block(r)
         _, first, seeds, orders, noise_seeds, noise_states = block
         k = (r - first) * len(ids) + slot[st.client_id]
-        cfg = replace(plan.train, seed=int(seeds[k]))
+        cfg = object.__new__(TrainConfig)  # plan.train's fields, already checked, with this seed
+        cfg.__dict__.update(vars(plan.train), seed=int(seeds[k]))
         try:
             params, _ = train_local(plan.model, global_params, st.shard.train, cfg,
                                     _rngs=[_generator(words) for words in orders[k]])

@@ -19,6 +19,7 @@ from fedsim.models import (
     _P_HI,
     _P_LO,
     _sigmoid,
+    _workspace,
     bce_loss,
     forward,
     init_params,
@@ -358,7 +359,7 @@ def test_mlp_forward_is_the_gradient_paths_p_and_leaves_its_inputs_alone(activat
     spec = ModelSpec(MLP, input_dim=4, hidden_dim=6, activation=activation)
     params, X, y = _random_instance(spec, seed=5, n=40)
     X_before, v_before = X.copy(), params.values.copy()
-    p, _ = _KERNELS[MLP](spec, params.values, X, y.astype(np.float64))
+    p, _ = _KERNELS[MLP](spec, params.values, X, y.astype(np.float64), _workspace(spec, 40))
     assert forward(spec, params, X).tobytes() == np.clip(p, _P_LO, _P_HI).tobytes()
     assert X.tobytes() == X_before.tobytes() and X.flags.writeable
     assert params.values.tobytes() == v_before.tobytes()
@@ -396,10 +397,23 @@ def test_relu_mlp_forward_allocates_one_hidden_activation():
     assert _peak_bytes(lambda: forward(spec, params, X)) <= 1.3 * X.shape[0] * spec.hidden_dim * 8
 
 
-def test_sigmoid_mlp_forward_allocates_three_hidden_blocks():
+def test_sigmoid_mlp_forward_allocates_two_hidden_blocks():
+    # z1, which the activation overwrites, the sigmoid's scratch and its bool sign mask.
     spec = ModelSpec(MLP, input_dim=16, hidden_dim=128, activation="sigmoid")
     params, X, _ = _random_instance(spec, seed=6, n=4000)
-    assert _peak_bytes(lambda: forward(spec, params, X)) <= 3.3 * X.shape[0] * spec.hidden_dim * 8
+    assert _peak_bytes(lambda: forward(spec, params, X)) <= 2.3 * X.shape[0] * spec.hidden_dim * 8
+
+
+def test_train_local_allocates_one_epoch_of_rows_and_one_workspace():
+    spec, n, batch_size = ModelSpec(MLP, input_dim=64, hidden_dim=256), 4000, 128
+    params, ds = _oracle_case(spec, n, seed=2)
+    peaks = [
+        _peak_bytes(lambda: train_local(spec, params, ds, TrainConfig(epochs, batch_size, 0.1)))
+        for epochs in (1, 4)
+    ]
+    workspace = sum(a.nbytes for a in _workspace(spec, batch_size))
+    assert peaks[1] <= peaks[0]  # nothing grows with the epochs
+    assert peaks[0] <= 1.2 * (ds.features.nbytes + workspace)
 
 
 def _oracle_case(spec, n, seed):
@@ -440,14 +454,19 @@ def test_train_local_is_bitwise_the_checked_step_loop(spec, epochs):
     ids=["logistic", "mlp-relu", "mlp-sigmoid"],
 )
 def test_raw_step_gradient_is_bitwise_the_public_gradient(spec):
-    # 23 rows in batches of 5, as train_local slices them: four full batches and a short one.
+    # 23 rows in batches of 5, as train_local slices them: four full batches and a short one,
+    # each through a workspace of its own size and through one 5-row workspace that all share.
     params, ds = _oracle_case(spec, 23, seed=4)
     X, y = ds.features, ds.labels.astype(np.float64)
+    shared = _workspace(spec, 5)
     for start in range(0, ds.n, 5):
         Xb, yb = X[start : start + 5], y[start : start + 5]
-        raw = loss_and_grad(spec, params.values, Xb, yb, _raw=True)
-        assert type(raw) is np.ndarray
-        assert np.array_equal(raw, loss_and_grad(spec, params, Xb, yb)[1].values)
+        want = loss_and_grad(spec, params, Xb, yb)[1].values
+        assert not np.shares_memory(want, loss_and_grad(spec, params, Xb, yb)[1].values)
+        for work in (_workspace(spec, Xb.shape[0]), shared):
+            raw = loss_and_grad(spec, params.values, Xb, yb, _work=work)
+            assert type(raw) is np.ndarray and raw is work[0]
+            assert np.array_equal(raw, want)
     assert Xb.shape[0] == 3
 
 
