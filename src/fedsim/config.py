@@ -365,7 +365,7 @@ def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
         if obj["type"] == "synthetic":
             return make_synthetic(*_synthetic_args(obj))
         return read_dataset_csv((base_dir / obj["path"]).resolve())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a source too large to hold
         where = f"{path}.path" if obj["type"] == "csv" else path
         raise ConfigValidationError(f"{where}: {exc}") from exc
 

@@ -346,12 +346,23 @@ def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _O
 _KERNELS = {LOGISTIC: _logistic, MLP: _mlp}
 
 
+def _probs(spec: ModelSpec, v: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``forward`` without its checks; ``X`` may also be a stack of row blocks, (c, m, d)."""
+    return np.clip(_KERNELS[spec.kind](spec, v, X)[0], _P_LO, _P_HI)
+
+
 def forward(spec: ModelSpec, params: ParameterSet, features: np.ndarray) -> np.ndarray:
     """Per-row probability of the positive class, strictly inside (0, 1)."""
     X = _check_features(spec, features)
     _check_params(spec, params)
-    p, _ = _KERNELS[spec.kind](spec, params.values, X)
-    return np.clip(p, _P_LO, _P_HI)
+    return _probs(spec, params.values, X)
+
+
+def _bce(p: np.ndarray, y: np.ndarray, axis=None):
+    """Mean clamped cross-entropy of float64 ``p`` against ``y`` over ``axis`` (None: all)."""
+    p = np.minimum(np.maximum(p, PROB_EPS), 1.0 - PROB_EPS)
+    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
+    return -(np.add.reduce(terms, axis=axis) / (terms.size if axis is None else terms.shape[axis]))
 
 
 def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -359,9 +370,7 @@ def bce_loss(probs: np.ndarray, labels: np.ndarray) -> float:
     y = np.asarray(labels, dtype=np.float64)
     if y.size == 0:
         raise ValueError("empty batch")
-    p = np.minimum(np.maximum(np.asarray(probs, dtype=np.float64), PROB_EPS), 1.0 - PROB_EPS)
-    terms = y * np.log(p) + (1.0 - y) * np.log(1.0 - p)
-    return float(-(np.add.reduce(terms, axis=None) / terms.size))
+    return float(_bce(np.asarray(probs, dtype=np.float64), y))
 
 
 def loss_and_grad(

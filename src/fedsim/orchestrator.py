@@ -3,10 +3,13 @@
 Each round broadcasts the current global parameters, lets every eligible
 client train locally, aggregates the collected updates in ascending
 client-id order, and evaluates the refreshed model on the global test
-set and on every active client's test shard.  An event script injects
-client departures, arrivals and delayed updates; the policy config
-decides how a departed client's history and a late update enter the
-aggregation.
+set and on every active client's test shard.  Equal-sized shards are scored
+in (c, m, d) stacks, one kernel call a stack: matmul calls BLAS once per slice
+with one shard's own arguments and the loss sums each slice alone, so every
+score equals ``loss_accuracy``'s bit for bit (one matrix of all rows would
+not).  An event script injects client departures, arrivals and delayed
+updates; the policy config decides how a departed client's history and a
+late update enter the aggregation.
 
 Event timing:
 
@@ -53,7 +56,8 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import AggregateResult, Update, add_uniform_noise, plain_average, weighted_fedavg
-from .metrics import MetricSet, RunSummary, evaluate, loss_accuracy, summarize
+from .metrics import MetricSet, RunSummary, _stacked_loss_accuracy, evaluate, summarize
+from .metrics import loss_accuracy  # noqa: F401  (only for bench/spans.py to patch)
 from .models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from .partition import ClientShard
 from .rules import choice, integer, noise_amplitude, positive
@@ -77,9 +81,10 @@ DELAY = "delay"
 # Purpose tags for seed derivation; every stream key starts (plan_seed, tag).
 _INIT, _TRAIN, _CLIENT_NOISE, _SERVER_NOISE, _SWEEP = 0, 1, 2, 3, 4
 
-# Keys per seeding block: ``run`` seeds every known client for enough rounds to reach
-# this many, as a batch pass costs a fixed ~0.2 ms and then ~0.2 us a key.
+# Keys per seeding block: ``run`` seeds every known client's epochs for enough rounds to
+# reach this many, as a batch pass costs a fixed ~0.2 ms and then ~0.2 us a key.
 _BLOCK_KEYS = 1000
+_STACK_ROWS = 1024  # rows in a stack of equal-sized client test sets scored in one call
 
 
 def init_seed(plan_seed: int) -> int:
@@ -425,16 +430,18 @@ def run(plan: SimPlan) -> RunReport:
     def seed_block(first: int) -> tuple:
         """Train seeds, epoch-order states, and client-noise seeds and states of every known
         client for the rounds of a block from ``first``, one batch pass each; the key
-        (client, r) is row ``(r - first) * len(ids) + slot[client]``."""
-        last = min(first - 1 + math.ceil(_BLOCK_KEYS / len(ids)), plan.n_rounds)
+        (client, r) is row ``(r - first) * len(ids) + slot[client]``.  Past the budget in
+        one round, ``orders`` is None and ``train_local`` seeds each epoch itself."""
+        epochs = plan.train.epochs
+        last = min(first - 1 + math.ceil(_BLOCK_KEYS / (len(ids) * epochs)), plan.n_rounds)
         cids = np.array(ids, dtype=object if ids[-1] >> 64 else np.uint64)
         rounds = np.arange(first, last + 1, dtype=np.uint64)
         key = (np.tile(cids, len(rounds)), np.repeat(rounds, len(ids)))
-        seeds, epochs = _batch_states(plan.seed, _TRAIN, *key)[:, 0], plan.train.epochs
-        orders = _batch_states(np.repeat(seeds, epochs), np.tile(np.arange(epochs), len(seeds)))
+        seeds = _batch_states(plan.seed, _TRAIN, *key)[:, 0]
+        orders = None if len(ids) * epochs > _BLOCK_KEYS else _batch_states(
+            np.repeat(seeds, epochs), np.tile(np.arange(epochs), len(seeds))).reshape(-1, epochs, 4)
         noise = _batch_states(plan.seed, _CLIENT_NOISE, *key)[:, 0] if client_noise else None
-        return last, first, seeds, orders.reshape(len(seeds), epochs, 4), noise, (
-            _batch_states(noise) if client_noise else None)
+        return last, first, seeds, orders, noise, _batch_states(noise) if client_noise else None
 
     def noised(params: ParameterSet, seed: int, r: int, rng=None) -> ParameterSet:
         try:
@@ -453,8 +460,8 @@ def run(plan: SimPlan) -> RunReport:
         cfg = object.__new__(TrainConfig)  # plan.train's fields, already checked, with this seed
         cfg.__dict__.update(vars(plan.train), seed=int(seeds[k]))
         try:
-            params, _ = train_local(plan.model, global_params, st.shard.train, cfg,
-                                    _rngs=[_generator(words) for words in orders[k]])
+            rngs = None if orders is None else [_generator(words) for words in orders[k]]
+            params, _ = train_local(plan.model, global_params, st.shard.train, cfg, _rngs=rngs)
         except ValueError as exc:  # after validation, only a non-finite result
             audit.append(f"round {r} abort reason=divergence client={st.client_id}")
             raise DivergenceError(st.client_id, r, records, audit) from exc
@@ -519,13 +526,12 @@ def run(plan: SimPlan) -> RunReport:
                     st.last_update = None
                 audit.append(f"round {r} leave client={ev.client_id} policy={plan.policy.departure}")
 
-            client_metrics = []
-            for cid in sorted(states):
-                st = states[cid]
-                if st.status != "active" or st.shard.test.n == 0:
-                    continue
-                loss, acc = loss_accuracy(plan.model, global_params, st.shard.test)
-                client_metrics.append(ClientEval(cid, loss, acc, st.shard.test.n))
+            tested = [states[cid] for cid in sorted(states)
+                      if states[cid].status == "active" and states[cid].shard.test.n]
+            scores = _stacked_loss_accuracy(
+                plan.model, global_params, [st.shard.test for st in tested], _STACK_ROWS)
+            client_metrics = [ClientEval(st.client_id, loss, acc, st.shard.test.n)
+                              for st, (loss, acc) in zip(tested, scores)]
 
             records.append(
                 RoundRecord(

@@ -586,6 +586,17 @@ def test_cli_rejects_an_unwritable_output_path_before_running(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "file"]
 
 
+def _source_too_large_to_allocate(join):
+    # numpy refuses ~14 PiB at once, so the case allocates nothing
+    cfg = _base_cfg()
+    if join:
+        cfg["events"] = _join()
+        cfg["events"][0]["data"]["source"]["n_per_class"] = [10**15, 10]
+    else:
+        cfg["data"]["source"]["n_per_class"] = [10**15, 10]
+    return cfg
+
+
 def _holdout_leaving_no_training_data():
     cfg = _base_cfg()
     cfg["data"]["source"]["n_per_class"] = [1, 1]
@@ -605,8 +616,13 @@ def _holdout_leaving_no_training_data():
      "validation error: sweeps.N_r.abc: expected an integer, got 'abc'\n"),
     ({**_base_cfg(), "sweeps": {"N_r": {"2": {}, "02": {}}}}, 3,
      "validation error: sweeps.N_r.02: another key names the value 2\n"),
+    (_source_too_large_to_allocate(join=False), 3,
+     "validation error: data.source: Unable to allocate "),
+    (_source_too_large_to_allocate(join=True), 3,
+     "validation error: events[0].data.source: Unable to allocate "),
 ], ids=["top-level-list", "unreadable-path", "event-not-object", "sweep-table-not-object",
-        "holdout-leaves-no-training-data", "sweep-key-not-a-value", "sweep-keys-name-one-value"])
+        "holdout-leaves-no-training-data", "sweep-key-not-a-value", "sweep-keys-name-one-value",
+        "source-too-large-to-allocate", "join-source-too-large-to-allocate"])
 def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code, expected):
     if config is None:
         path = tmp_path / "config-dir"

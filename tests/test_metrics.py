@@ -4,11 +4,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fedsim.orchestrator
 from fedsim.metrics import (
     MetricSet,
     RocCurve,
     UndefinedAUCError,
+    _stacked_loss_accuracy,
     evaluate,
     loss_accuracy,
     roc_auc,
@@ -17,6 +21,7 @@ from fedsim.metrics import (
 from fedsim.models import Dataset, ModelSpec, ParameterSet, forward, init_params
 from fedsim.orchestrator import RoundRecord, RunReport
 from fedsim.partition import make_synthetic
+from fedsim.seeding import rng_from
 
 from _oracles import pairwise_auc, trapezoid_area
 
@@ -282,3 +287,28 @@ def test_forward_scores_feed_roc_cleanly():
     curve, auc = roc_auc(scores, ds.labels)
     assert 0.0 <= auc <= 1.0
     assert curve.points.shape[1] == 2
+
+
+_STACKED_SPECS = [ModelSpec("logistic-regression", 8), ModelSpec("mlp-1hidden", 8, 16, "relu"),
+                  ModelSpec("mlp-1hidden", 8, 16, "sigmoid")]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(
+    spec=st.sampled_from(_STACKED_SPECS),
+    # Repeated sizes make stacks; 1-600 rows cross numpy's 128-entry pairwise-sum blocks.
+    sizes=st.lists(st.sampled_from([1, 3, 15, 127, 128, 129, 600]) | st.integers(1, 600),
+                   min_size=1, max_size=12),
+    scale=st.sampled_from([0.5, 1e3]),  # 1e3 saturates the scores into the clip and the clamp
+    max_rows=st.sampled_from([1, fedsim.orchestrator._STACK_ROWS, 10**9]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_evaluation_is_loss_accuracy_bit_for_bit(spec, sizes, scale, max_rows, seed):
+    rng = rng_from(seed)
+    params = ParameterSet(rng.standard_normal(spec.param_count) * scale, spec.layer_shapes)
+    datasets = [Dataset(rng.standard_normal((n, 8)), rng.integers(0, 2, n), np.arange(n))
+                for n in sizes]
+    stacked = _stacked_loss_accuracy(spec, params, datasets, max_rows)
+    alone = [loss_accuracy(spec, params, ds) for ds in datasets]
+    assert [(loss.hex(), acc.hex()) for loss, acc in stacked] == [
+        (loss.hex(), acc.hex()) for loss, acc in alone]

@@ -499,6 +499,23 @@ def test_train_local_divergence_still_raises():
             train_local(MLP23, params, ds, cfg)
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec(LOGISTIC, 8), ModelSpec(MLP, 64, 256), ModelSpec(MLP, 8, 16, "sigmoid"),
+], ids=["logistic-d8", "relu-mlp-64-256", "sigmoid-mlp-8-16"])
+@pytest.mark.parametrize("m", [1, 3, 5, 13, 15, 45])
+def test_kernels_score_a_stack_as_its_slices_bit_for_bit(spec, m):
+    # Per-client evaluation scores equal-sized test sets in (c, m, d) stacks.  It is exact
+    # because matmul calls BLAS once per slice, as for the 2-D slice alone; these are row
+    # counts where joining the rows into one 2-D matrix changes the bits.
+    rng = rng_from(m, 31)
+    v = rng.standard_normal(spec.param_count) * 0.5
+    stack = rng.standard_normal((max(2, 1024 // m), m, spec.input_dim)) * 3.0
+    scores, _ = _KERNELS[spec.kind](spec, v, stack)
+    for c, X in enumerate(stack):
+        alone, _ = _KERNELS[spec.kind](spec, v, X.copy())
+        assert scores[c].tobytes() == alone.tobytes()
+
+
 def test_sigmoid_and_bce_keep_the_reference_bits():
     z = np.concatenate([
         [0.0, -0.0, np.nan, np.inf, -np.inf, 709.0, -709.0, 745.5, -745.5, 1e-300, -1e-300],

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from operator import attrgetter
@@ -621,12 +622,16 @@ def test_batched_seeds_follow_the_scalar_key_rules(monkeypatch, tmp_path, delay)
     plan = _churn_plan(delay)
     keys = {train_seed(plan.seed, cid, r): (cid, r)
             for cid in (0, 1, 2, 7, 2**64 + 3) for r in range(1, plan.n_rounds + 1)}
-    trained = []
+    trained, scalar = [], []
 
     def train_spy(spec, params, dataset, cfg, **kwargs):
-        assert len(kwargs["_rngs"]) == cfg.epochs == 2
-        for epoch, rng in enumerate(kwargs["_rngs"]):
-            assert rng.bit_generator.state == rng_from(cfg.seed, epoch).bit_generator.state
+        assert cfg.epochs == 2
+        if scalar[-1]:  # train_local seeds each epoch itself
+            assert kwargs["_rngs"] is None
+        else:
+            assert len(kwargs["_rngs"]) == 2
+            for epoch, rng in enumerate(kwargs["_rngs"]):
+                assert rng.bit_generator.state == rng_from(cfg.seed, epoch).bit_generator.state
         trained.append(keys[cfg.seed])
         return train_local(spec, params, dataset, cfg, **kwargs)
 
@@ -639,14 +644,40 @@ def test_batched_seeds_follow_the_scalar_key_rules(monkeypatch, tmp_path, delay)
     monkeypatch.setattr(fedsim.orchestrator, "train_local", train_spy)
     monkeypatch.setattr(fedsim.orchestrator, "add_uniform_noise", noise_spy)
     outputs = []
-    for block_keys in (fedsim.orchestrator._BLOCK_KEYS, 1):  # one block, then one round a block
+    # One block for the run; one round a block, still batched (5 clients x 2 epochs); the
+    # scalar path, where one round's epochs already exceed the budget.
+    for block_keys in (fedsim.orchestrator._BLOCK_KEYS, 5 * 2, 1):
         monkeypatch.setattr(fedsim.orchestrator, "_BLOCK_KEYS", block_keys)
+        scalar.append(block_keys < 5 * 2)
         out = tmp_path / str(block_keys)
         write_run_outputs(run(plan), out, formats=("csv",))
         outputs.append([(out / name).read_bytes() for name in ("rounds.csv", "events.log")])
-    assert outputs[0] == outputs[1]
-    assert len(trained) == 2 * len(set(trained)) > 30
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(trained) == 3 * len(set(trained)) > 45
     assert {cid for cid, _ in trained} == {0, 1, 2, 7, 2**64 + 3}
+
+
+@pytest.mark.parametrize("epochs", [2**40, 10**30])
+def test_huge_epoch_counts_reach_training_in_bounded_memory(monkeypatch, epochs):
+    # One round's epochs exceed the seeding budget, so no epoch order is seeded up front.
+    class Reached(Exception):
+        pass
+
+    def train_spy(spec, params, dataset, cfg, **kwargs):
+        assert cfg.epochs == epochs and kwargs["_rngs"] is None
+        raise Reached
+
+    monkeypatch.setattr(fedsim.orchestrator, "train_local", train_spy)
+    plan = _churn_plan("use-stale-accept-any")
+    plan = replace(plan, train=replace(plan.train, epochs=epochs))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Reached):
+            run(plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_divergence_carries_completed_rounds():
