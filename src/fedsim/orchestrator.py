@@ -420,7 +420,10 @@ def run(plan: SimPlan) -> RunReport:
     held_back: dict[int, Update] = {}
     audit: list[str] = []
     records: list[RoundRecord] = []
-    global_params = init_params(plan.model, init_seed(plan.seed))
+    try:
+        global_params = init_params(plan.model, init_seed(plan.seed))
+    except MemoryError as exc:  # a model too large to hold
+        raise PlanValidationError(f"model: {exc}") from exc
 
     client_noise = plan.noise is not None and plan.noise.placement == "client"
     ids = sorted({*states, *(ev.client_id for evs in timeline.joins.values() for ev in evs)})

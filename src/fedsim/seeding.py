@@ -6,18 +6,17 @@ Composite keys (for example ``(run_seed, purpose, client_id, round)``)
 give every consumer its own independent stream, so adding or removing
 one client never shifts the randomness seen by another.
 
-Seeds and generators are bit-identical to ``SeedSequence(list(key))``.  For
-one key, numpy mixes its uint32 words into the pool, and only the output hash
-of ``generate_state`` (slow in numpy) is replicated, for PCG64's request; for
-many keys, ``_batch_states`` replicates the pool mix too, in one numpy pass.
-``tests/test_seeding.py`` checks both against numpy; it and the golden
-output hashes were recorded on numpy 2.4.6, Python 3.11.7.
+Seeds and generators are bit-identical to ``SeedSequence(list(key))``.  One
+key seeds through numpy's own ``SeedSequence``, given the key's uint32 words;
+many keys seed through ``_batch_states``, one numpy pass that replicates the
+pool mix and the output hash.  ``tests/test_seeding.py`` checks the replica
+against numpy; it and the golden output hashes were recorded on numpy 2.4.6,
+Python 3.11.7.
 """
 
 from __future__ import annotations
 
 import operator
-from itertools import cycle, islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -45,38 +44,14 @@ def _entropy(parts: tuple[int, ...]) -> np.ndarray:
     return np.array(words, dtype=np.uint32)
 
 
-def _hash(pool: list[int], n_words: int) -> list[int]:
-    """``generate_state``'s output hash: ``n_words`` uint32 words from ``pool``."""
-    out = []
-    h = _INIT_B
-    for word in islice(cycle(pool), n_words):
-        v = word ^ h
-        h = h * _MULT_B & _MASK32
-        v = v * h & _MASK32
-        out.append(v ^ v >> _XSHIFT)
-    return out
-
-
-class _KeySequence(np.random.SeedSequence):
-    """A SeedSequence whose ``generate_state`` runs :func:`_hash` directly for the
-    uint64 words PCG64 asks for; any other request is numpy's own method."""
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if np.dtype(dtype) != np.uint64:
-            return super().generate_state(n_words, dtype)
-        words = iter(_hash(self.pool.tolist(), 2 * n_words))
-        return np.array([lo | hi << 32 for lo, hi in zip(words, words)], dtype=np.uint64)
-
-
 def rng_from(*parts: int) -> np.random.Generator:
     """PCG64 generator keyed by one or more nonnegative integers."""
-    return np.random.Generator(np.random.PCG64(_KeySequence(_entropy(parts))))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_entropy(parts))))
 
 
 def derive_seed(*parts: int) -> int:
     """Collapse a composite key into a single 64-bit seed."""
-    lo, hi = _hash(np.random.SeedSequence(_entropy(parts)).pool.tolist(), 2)
-    return lo | hi << 32
+    return int(np.random.SeedSequence(_entropy(parts)).generate_state(1, np.uint64)[0])
 
 
 def _constants(init: int, mult: int, n: int) -> np.ndarray:

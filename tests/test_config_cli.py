@@ -597,6 +597,11 @@ def _source_too_large_to_allocate(join):
     return cfg
 
 
+def _model_too_large_to_allocate():
+    # numpy refuses ~145 TiB at once, so the case allocates nothing
+    return {**_base_cfg(), "model": {"kind": "mlp-1hidden", "input_dim": 2, "hidden_dim": 10**13}}
+
+
 def _holdout_leaving_no_training_data():
     cfg = _base_cfg()
     cfg["data"]["source"]["n_per_class"] = [1, 1]
@@ -620,9 +625,11 @@ def _holdout_leaving_no_training_data():
      "validation error: data.source: Unable to allocate "),
     (_source_too_large_to_allocate(join=True), 3,
      "validation error: events[0].data.source: Unable to allocate "),
+    (_model_too_large_to_allocate(), 3, "validation error: model: Unable to allocate "),
 ], ids=["top-level-list", "unreadable-path", "event-not-object", "sweep-table-not-object",
         "holdout-leaves-no-training-data", "sweep-key-not-a-value", "sweep-keys-name-one-value",
-        "source-too-large-to-allocate", "join-source-too-large-to-allocate"])
+        "source-too-large-to-allocate", "join-source-too-large-to-allocate",
+        "model-too-large-to-allocate"])
 def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code, expected):
     if config is None:
         path = tmp_path / "config-dir"

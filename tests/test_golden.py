@@ -9,6 +9,7 @@ the simulator's numerics or its output format and has to say so.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,7 @@ import pytest
 from fedsim.cli import main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "demos" / "configs"
+BENCH_DATA = CONFIG_DIR.parent.parent / "bench" / "data"
 
 GOLDEN = {
     "three_clients": {
@@ -129,3 +131,15 @@ def test_every_demo_output_matches_its_golden_hash(tmp_path):
         if p.is_file()
     }
     assert got == DEMO_GOLDEN
+
+
+def test_bench_copies_match_the_demo_configs_and_digests():
+    # bench/ keeps its own copies of the demo configs and of their digests; either may drift
+    bench_configs = sorted((BENCH_DATA / "configs").glob("*.json"))
+    assert bench_configs
+    for path in bench_configs:
+        assert path.read_bytes() == (CONFIG_DIR / path.name).read_bytes(), path.name
+    suite = json.loads((BENCH_DATA / "digests.json").read_text())["cli-suite"]
+    shared = {name: digest for name, digest in suite.items() if name in DEMO_GOLDEN}
+    assert len(shared) >= 22
+    assert shared == {name: DEMO_GOLDEN[name] for name in shared}

@@ -7,7 +7,6 @@ from fedsim.seeding import (
     _batch_states,
     _entropy,
     _generator,
-    _KeySequence,
     _StateWords,
     derive_seed,
     rng_from,
@@ -91,17 +90,17 @@ def test_seed_parts_must_be_integers():
 
 
 def test_pcg64_asks_only_for_four_uint64_words(monkeypatch):
-    """The replica copies numpy for this one request; any other is numpy's own method,
-    so a numpy that asks for more is named here rather than slowed down unseen."""
+    """The batch replica serves PCG64 this one request, so a numpy that asks for another
+    is named here rather than failing deep inside a run."""
     requests = []
-    real = _KeySequence.generate_state
+    real = _StateWords.generate_state
 
     def recording(self, n_words, dtype=np.uint32):
         requests.append((n_words, np.dtype(dtype)))
         return real(self, n_words, dtype)
 
-    monkeypatch.setattr(_KeySequence, "generate_state", recording)
-    rng = rng_from(7, 3)
+    monkeypatch.setattr(_StateWords, "generate_state", recording)
+    rng = _generator(_batch_states(7, 3)[0])
     rng.permutation(10)
     rng.uniform(-1.0, 1.0, 5)
     rng.standard_normal(5)
