@@ -8,7 +8,8 @@ one forward/backward kernel that works on the raw vector and writes a
 batch's gradient into a workspace (the gradient vector and, for the MLP, the
 hidden-layer arrays); ``train_local`` allocates one workspace, parameter copy
 and epoch of gathered rows per call, so an SGD step allocates no array of the
-batch's size.  ``ParameterSet`` is validated where parameters cross this
+batch's size, and its vector products use ``ndarray.dot`` where that makes
+matmul's BLAS call.  ``ParameterSet`` is validated where parameters cross this
 module's boundary: ``train_local`` checks its parameters on entry and on exit,
 not at every step, and a run that diverges still raises ``ValueError("parameter
 values must be finite")``.  Everything here is a pure function: training returns
@@ -45,16 +46,22 @@ LayerShapes = tuple[tuple[str, tuple[int, ...]], ...]
 _Out = tuple[np.ndarray, np.ndarray | None]
 
 
-def _sigmoid(z: np.ndarray, out=None, e=None, pos=None) -> np.ndarray:
-    # exp() sees only -|z| (as min(z, -z), which keeps a NaN's sign), so it cannot
-    # overflow, and each branch gets the exp() argument a split by sign gives it.
-    # ``out`` (which may be ``z``), scratch ``e`` and bool ``pos`` have z's shape; None allocates.
+def _sigmoid(z: np.ndarray, out=None, e=None) -> np.ndarray:
+    # exp(min(z, 0)) / (1 + exp(min(z, -z))): exp() never sees a positive argument, and each
+    # sign gets its branch's exp() argument (min(z, -z) keeps a NaN's sign).  ``out`` (which
+    # may be ``z``) and scratch ``e`` have z's shape; None allocates.
     e = np.negative(z, out=e)
-    np.exp(np.minimum(z, e, out=e), out=e)
-    pos = np.greater_equal(z, 0, out=pos)
-    out = np.add(e, 1.0, out=out)
-    np.copyto(e, 1.0, where=pos)  # the numerator: 1 where z >= 0, else e
-    return np.divide(e, out, out=out)
+    np.add(np.exp(np.minimum(z, e, out=e), out=e), 1.0, out=e)
+    out = np.exp(np.minimum(z, 0.0, out=out), out=out)  # 1 where z >= 0, else exp(z)
+    return np.divide(out, e, out=out)
+
+
+def _head(A: np.ndarray, w: np.ndarray, b) -> np.ndarray:
+    """sigmoid(A @ w + b) for 1-D ``w``, in place.  ``ndarray.dot`` makes matmul's BLAS call at
+    less cost on a C- or F-contiguous matrix, but not on a stack (c, m, k) or other strides."""
+    z = A.dot(w) if A.ndim == 2 and A.flags.forc else A @ w
+    z += b
+    return _sigmoid(z, z)
 
 
 @dataclass(frozen=True)
@@ -306,13 +313,15 @@ def _workspace(spec: ModelSpec, rows: int) -> tuple[np.ndarray, ...]:
 # ``X`` and, given float64 labels ``y`` and a ``_workspace``, the gradient of the mean
 # cross-entropy in layout order, written into the workspace's gradient vector.
 def _logistic(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _Out:
-    p = _sigmoid(X @ v[:-1] + v[-1])
+    p = _head(X, v[:-1], v[-1])
     if y is None:
         return p, None
     (g,) = work
-    dz = (p - y) / y.size  # d(mean BCE)/d(logit) through the sigmoid output
-    np.matmul(X.T, dz, out=g[:-1])
-    np.add.reduce(dz, keepdims=True, out=g[-1:])
+    dz = p - y
+    dz /= y.size  # d(mean BCE)/d(logit) through the sigmoid output
+    # dz @ X through dot as in _head; the public loss_and_grad may pass any strides
+    np.dot(dz, X, out=g[:-1]) if X.flags.forc else np.matmul(X.T, dz, out=g[:-1])
+    g[-1] = np.add.reduce(dz)
     return p, g
 
 
@@ -326,8 +335,8 @@ def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _O
     z1 += v[k : k + h]
     a = z1 if a is None else a
     relu = spec.activation == "relu"
-    a = np.maximum(z1, 0.0, out=a) if relu else _sigmoid(z1, a, dh, mask)
-    p = _sigmoid(a @ w2 + v[-1])
+    a = np.maximum(z1, 0.0, out=a) if relu else _sigmoid(z1, a, dh)
+    p = _head(a, w2, v[-1])
     if y is None:
         return p, None
     dz = (p - y) / y.size
@@ -338,8 +347,8 @@ def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _O
         np.multiply(np.multiply(dh, a, out=dh), np.subtract(1.0, a, out=z1), out=dh)
     np.matmul(X.T, dh, out=g[:k].reshape(d, h))
     np.add.reduce(dh, axis=0, out=g[k : k + h])
-    np.matmul(a.T, dz, out=g[k + h : -1])
-    np.add.reduce(dz, keepdims=True, out=g[-1:])
+    np.dot(dz, a, out=g[k + h : -1])  # a is a contiguous workspace
+    g[-1] = np.add.reduce(dz)
     return p, g
 
 

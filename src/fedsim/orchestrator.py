@@ -404,6 +404,10 @@ def validate_plan(plan: SimPlan) -> Timeline:
                     phases[(cid, r)] = "start"
                     phases.update(((cid, m), "mid") for m in range(r + 1, resume))
                     phases[(cid, resume)] = "resume"
+    try:  # a parameter vector numpy cannot allocate fails here, before any command runs
+        np.empty(plan.model.param_count)
+    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
+        errors.append(f"model: {exc}")
     if errors:
         raise PlanValidationError("; ".join(errors))
     return timeline
@@ -420,10 +424,7 @@ def run(plan: SimPlan) -> RunReport:
     held_back: dict[int, Update] = {}
     audit: list[str] = []
     records: list[RoundRecord] = []
-    try:
-        global_params = init_params(plan.model, init_seed(plan.seed))
-    except MemoryError as exc:  # a model too large to hold
-        raise PlanValidationError(f"model: {exc}") from exc
+    global_params = init_params(plan.model, init_seed(plan.seed))
 
     client_noise = plan.noise is not None and plan.noise.placement == "client"
     ids = sorted({*states, *(ev.client_id for evs in timeline.joins.values() for ev in evs)})

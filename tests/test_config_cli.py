@@ -597,9 +597,8 @@ def _source_too_large_to_allocate(join):
     return cfg
 
 
-def _model_too_large_to_allocate():
-    # numpy refuses ~145 TiB at once, so the case allocates nothing
-    return {**_base_cfg(), "model": {"kind": "mlp-1hidden", "input_dim": 2, "hidden_dim": 10**13}}
+def _model_with_hidden_dim(hidden_dim):
+    return {**_base_cfg(), "model": {"kind": "mlp-1hidden", "input_dim": 2, "hidden_dim": hidden_dim}}
 
 
 def _holdout_leaving_no_training_data():
@@ -625,11 +624,14 @@ def _holdout_leaving_no_training_data():
      "validation error: data.source: Unable to allocate "),
     (_source_too_large_to_allocate(join=True), 3,
      "validation error: events[0].data.source: Unable to allocate "),
-    (_model_too_large_to_allocate(), 3, "validation error: model: Unable to allocate "),
+    # numpy refuses the ~291 TiB vector at once, so the case allocates nothing
+    (_model_with_hidden_dim(10**13), 3, "validation error: model: Unable to allocate "),
+    (_model_with_hidden_dim(10**19), 3,
+     "validation error: model: Maximum allowed dimension exceeded\n"),
 ], ids=["top-level-list", "unreadable-path", "event-not-object", "sweep-table-not-object",
         "holdout-leaves-no-training-data", "sweep-key-not-a-value", "sweep-keys-name-one-value",
         "source-too-large-to-allocate", "join-source-too-large-to-allocate",
-        "model-too-large-to-allocate"])
+        "model-too-large-to-allocate", "model-past-numpys-largest-array"])
 def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code, expected):
     if config is None:
         path = tmp_path / "config-dir"
@@ -637,11 +639,12 @@ def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code
     else:
         path = tmp_path / "cfg.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "x")]) == code
-    err = capsys.readouterr().err
-    assert err.startswith(expected.format(path=path))
-    assert "Traceback" not in err
-    assert not (tmp_path / "x").exists()
+    for command in ("run", "validate"):  # validate refuses whatever run refuses
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "x")]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(expected.format(path=path)), command
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
 
 
 def test_cli_deeply_nested_config_is_a_parse_error(tmp_path, capsys):
@@ -1064,6 +1067,19 @@ def test_cli_sweep_builds_and_checks_every_plan_before_the_first_run(tmp_path, c
     assert capsys.readouterr().err == (
         "validation error: client-count=4: round 5: join re-uses client id 3\n"
     )
+    assert not out.exists()
+
+
+def test_cli_sweep_refuses_a_value_whose_model_cannot_be_allocated_before_the_first_run(
+    tmp_path, capsys
+):
+    cfg = _base_cfg()
+    cfg["sweeps"] = {"N_r": {"3": {"model": _model_with_hidden_dim(10**13)["model"]}}}
+    out = tmp_path / "sw"
+    code = main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(out),
+                 "--variable", "N_r", "--values", "2,3"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("validation error: N_r=3: model: Unable to allocate ")
     assert not out.exists()
 
 

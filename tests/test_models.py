@@ -398,10 +398,10 @@ def test_relu_mlp_forward_allocates_one_hidden_activation():
 
 
 def test_sigmoid_mlp_forward_allocates_two_hidden_blocks():
-    # z1, which the activation overwrites, the sigmoid's scratch and its bool sign mask.
+    # z1, which the activation overwrites, and the sigmoid's scratch.
     spec = ModelSpec(MLP, input_dim=16, hidden_dim=128, activation="sigmoid")
     params, X, _ = _random_instance(spec, seed=6, n=4000)
-    assert _peak_bytes(lambda: forward(spec, params, X)) <= 2.3 * X.shape[0] * spec.hidden_dim * 8
+    assert _peak_bytes(lambda: forward(spec, params, X)) <= 2.05 * X.shape[0] * spec.hidden_dim * 8
 
 
 def test_train_local_allocates_one_epoch_of_rows_and_one_workspace():
@@ -534,3 +534,100 @@ def test_sigmoid_keeps_the_bits_of_one_where_over_both_quotients():
         rng_from(11).standard_normal(100_000) * 40.0,
     ])
     assert _sigmoid(z).tobytes() == where_sigmoid(z).tobytes()
+
+
+# The kernels as they were before their 2-D products moved to ``ndarray.dot`` and the sigmoid
+# lost its sign mask: each call is the plain ``matmul`` form, the reference for the bits.
+def _masked_copyto_sigmoid(z, out=None, e=None, pos=None):
+    e = np.negative(z, out=e)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    pos = np.greater_equal(z, 0, out=pos)
+    out = np.add(e, 1.0, out=out)
+    np.copyto(e, 1.0, where=pos)
+    return np.divide(e, out, out=out)
+
+
+def _matmul_kernel(spec, v, X, y):
+    """p and the gradient of one step, every vector product through ``matmul``."""
+    g = np.empty(spec.param_count)
+    if spec.kind == LOGISTIC:
+        p = _masked_copyto_sigmoid(X @ v[:-1] + v[-1])
+        dz = (p - y) / y.size
+        np.matmul(X.T, dz, out=g[:-1])
+    else:
+        d, h = spec.input_dim, spec.hidden_dim
+        k = d * h
+        w2 = v[k + h : -1]
+        z1 = np.matmul(X, v[:k].reshape(d, h)) + v[k : k + h]
+        a = np.maximum(z1, 0.0) if spec.activation == "relu" else _masked_copyto_sigmoid(z1)
+        p = _masked_copyto_sigmoid(a @ w2 + v[-1])
+        dz = (p - y) / y.size
+        dh = dz[:, None] * w2[None, :]
+        dh = dh * (z1 > 0.0) if spec.activation == "relu" else (dh * a) * (1.0 - a)
+        np.matmul(X.T, dh, out=g[:k].reshape(d, h))
+        np.add.reduce(dh, axis=0, out=g[k : k + h])
+        np.matmul(a.T, dz, out=g[k + h : -1])
+    np.add.reduce(dz, keepdims=True, out=g[-1:])
+    return p, g
+
+
+def _sigmoid_edge_inputs():
+    f = np.finfo(np.float64)
+    # exp overflows past log(max), leaves the normals below log(tiny) and underflows to 0
+    # below log(smallest subnormal / 2)
+    edges = [np.log(f.max), np.log(f.tiny), np.log(f.smallest_subnormal) - np.log(2.0), 0.0]
+    near = [np.nextafter(c, s * np.inf) for c in edges for s in (-1, 1)]
+    z = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1e308, -1e308, f.max, -f.max],
+        [f.smallest_subnormal, -f.smallest_subnormal, f.tiny / 3, -f.tiny / 3, f.tiny, -f.tiny],
+        edges, near, np.negative(edges), np.negative(near),
+        [709.0, 710.0, -709.0, -710.0, 745.0, -745.0, 746.0, -746.0, 708.4, -708.4],
+        np.linspace(-760.0, 760.0, 1521),
+        rng_from(12).standard_normal(3000) * np.repeat([1e-310, 1e-3, 1.0, 30.0, 400.0], 600),
+    ])
+    nan_payload = np.array([0x7FF0000000000123, 0xFFF8000000000456], dtype=np.uint64)
+    return np.concatenate([z, nan_payload.view(np.float64)])
+
+
+def test_sigmoid_keeps_the_masked_forms_bits_on_edge_inputs_and_every_alias():
+    z = _sigmoid_edge_inputs()
+    for n in [*range(1, 20), 31, 32, 33, 64, 65, z.size]:  # every SIMD tail length
+        part = z[-n:]
+        want = _masked_copyto_sigmoid(part).view(np.uint64)
+        assert np.array_equal(_sigmoid(part).view(np.uint64), want)
+        given_e = np.full_like(part, 7.0)
+        assert np.array_equal(_sigmoid(part, e=given_e).view(np.uint64), want)
+        out = np.empty_like(part)
+        assert _sigmoid(part, out, np.empty_like(part)) is out
+        assert np.array_equal(out.view(np.uint64), want)
+        z_in = part.copy()
+        assert _sigmoid(z_in, z_in) is z_in  # out is z, as the kernels call it
+        assert np.array_equal(z_in.view(np.uint64), want)
+        z_in = part.copy()
+        _sigmoid(z_in, z_in, np.empty_like(part))
+        assert np.array_equal(z_in.view(np.uint64), want)
+
+
+@pytest.mark.parametrize("kind, activation", [
+    (LOGISTIC, "relu"), (MLP, "relu"), (MLP, "sigmoid"),
+], ids=["logistic", "relu-mlp", "sigmoid-mlp"])
+def test_kernel_step_keeps_the_matmul_forms_bits(kind, activation):
+    # One SGD step and one scoring call per (rows, width); the MLP's hidden layer is as wide as
+    # its input, so the output product sees every width too.  Besides contiguous batches, the
+    # public calls may pass other layouts: Fortran order, strided columns and a column slice.
+    rng = rng_from(13)
+    for m in (1, 2, 3, 5, 8, 17, 64, 129, 300):
+        for d in (1, 3, 8, 64, 300):
+            spec = ModelSpec(kind, d, d if kind == MLP else None, activation)
+            v = rng.standard_normal(spec.param_count) * 0.5
+            y = rng.integers(0, 2, m).astype(np.float64)
+            wide = rng.standard_normal((m, 2 * d)) * 3.0
+            layouts = [wide[:, :d].copy(), np.asfortranarray(wide[:, :d])]
+            if m in (17, 300):
+                layouts += [wide[:, ::2], wide[:, :d]]
+            for X in layouts:
+                want_p, want_g = _matmul_kernel(spec, v, X, y)
+                p, g = _KERNELS[kind](spec, v, X, y, _workspace(spec, m))
+                assert p.tobytes() == want_p.tobytes(), (m, d)
+                assert g.tobytes() == want_g.tobytes(), (m, d)
+                assert _KERNELS[kind](spec, v, X)[0].tobytes() == want_p.tobytes(), (m, d)
