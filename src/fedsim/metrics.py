@@ -104,11 +104,15 @@ def _losses_accuracies(p: np.ndarray, labels: np.ndarray) -> tuple:
     return _bce(p, labels.astype(np.float64), axis=-1).tolist(), (correct / p.shape[-1]).tolist()
 
 
+_STACK_ROWS = 1024  # rows in a stack of equal-sized datasets scored in one call
+
+
 def _stacked_loss_accuracy(spec: ModelSpec, params: ParameterSet, datasets: list,
-                           max_rows: int) -> list[tuple[float, float]]:
-    """``loss_accuracy`` of each nonempty dataset of ``spec``'s width, unchecked, with one kernel
-    call per stack of equal-sized datasets (up to ``max_rows`` rows, or one dataset as a view);
-    the ``orchestrator`` docstring says why the results are bit-identical."""
+                           max_rows: int = _STACK_ROWS) -> list[tuple[float, float]]:
+    """``loss_accuracy`` of each nonempty dataset of ``spec``'s width, unchecked, bit for bit,
+    with one kernel call per (c, m, d) stack of equal-sized datasets (up to ``max_rows`` rows, or
+    one dataset as a view): matmul calls BLAS once per slice with one dataset's own arguments and
+    the loss sums each slice alone (one matrix of all rows would not be bit-identical)."""
     out, order = {}, sorted(range(len(datasets)), key=lambda i: datasets[i].n)
     while order:  # the front of ``order`` holds the smallest datasets left
         n = datasets[order[0]].n

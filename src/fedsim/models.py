@@ -302,11 +302,11 @@ def _check_params(spec: ModelSpec, params: ParameterSet) -> None:
 
 def _workspace(spec: ModelSpec, rows: int) -> tuple[np.ndarray, ...]:
     """What a kernel writes a batch of up to ``rows`` rows into: the gradient vector and, for
-    the MLP, (rows, hidden) pre-activation, activation and hidden-gradient arrays and a mask."""
-    grad, shape = np.empty(spec.param_count), (rows, spec.hidden_dim)
+    the MLP, (rows, hidden) pre-activation, activation and hidden-gradient arrays."""
+    grad = np.empty(spec.param_count)
     if spec.kind == LOGISTIC:
         return (grad,)
-    return grad, *(np.empty(shape) for _ in range(3)), np.empty(shape, dtype=bool)
+    return grad, *(np.empty((rows, spec.hidden_dim)) for _ in range(3))
 
 
 # One kernel per model kind, on the raw vector ``v``: it returns the sigmoid outputs for
@@ -329,8 +329,9 @@ def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _O
     d, h = spec.input_dim, spec.hidden_dim
     k = d * h
     w2 = v[k + h : -1]
-    # Without a workspace (evaluation) the activation overwrites z1, which nothing reads again.
-    g, z1, a, dh, mask = (work[0], *(w[: len(X)] for w in work[1:])) if work else (None,) * 5
+    # Nothing reads z1 once a is computed: without a workspace (evaluation) a overwrites it, and
+    # a step writes the activation's derivative over it, as a has its own array there.
+    g, z1, a, dh = (work[0], *(w[: len(X)] for w in work[1:])) if work else (None,) * 4
     z1 = np.matmul(X, v[:k].reshape(d, h), out=z1)
     z1 += v[k : k + h]
     a = z1 if a is None else a
@@ -341,9 +342,9 @@ def _mlp(spec: ModelSpec, v: np.ndarray, X: np.ndarray, y=None, work=None) -> _O
         return p, None
     dz = (p - y) / y.size
     np.multiply(dz[:, None], w2[None, :], out=dh)
-    if relu:
-        np.multiply(dh, np.greater(z1, 0.0, out=mask), out=dh)
-    else:  # (dh * a) * (1 - a), with 1 - a in z1, which nothing reads again
+    if relu:  # 1.0 where z1 > 0, else 0.0
+        np.multiply(dh, np.greater(z1, 0.0, out=z1), out=dh)
+    else:  # (dh * a) * (1 - a)
         np.multiply(np.multiply(dh, a, out=dh), np.subtract(1.0, a, out=z1), out=dh)
     np.matmul(X.T, dh, out=g[:k].reshape(d, h))
     np.add.reduce(dh, axis=0, out=g[k : k + h])

@@ -3,13 +3,10 @@
 Each round broadcasts the current global parameters, lets every eligible
 client train locally, aggregates the collected updates in ascending
 client-id order, and evaluates the refreshed model on the global test
-set and on every active client's test shard.  Equal-sized shards are scored
-in (c, m, d) stacks, one kernel call a stack: matmul calls BLAS once per slice
-with one shard's own arguments and the loss sums each slice alone, so every
-score equals ``loss_accuracy``'s bit for bit (one matrix of all rows would
-not).  An event script injects client departures, arrivals and delayed
-updates; the policy config decides how a departed client's history and a
-late update enter the aggregation.
+set and on every active client's test shard, scoring equal-sized shards in
+stacks (see ``metrics``).  An event script injects client departures,
+arrivals and delayed updates; the policy config decides how a departed
+client's history and a late update enter the aggregation.
 
 Event timing:
 
@@ -84,7 +81,6 @@ _INIT, _TRAIN, _CLIENT_NOISE, _SERVER_NOISE, _SWEEP = 0, 1, 2, 3, 4
 # Keys per seeding block: ``run`` seeds every known client's epochs for enough rounds to
 # reach this many, as a batch pass costs a fixed ~0.2 ms and then ~0.2 us a key.
 _BLOCK_KEYS = 1000
-_STACK_ROWS = 1024  # rows in a stack of equal-sized client test sets scored in one call
 
 
 def init_seed(plan_seed: int) -> int:
@@ -532,8 +528,7 @@ def run(plan: SimPlan) -> RunReport:
 
             tested = [states[cid] for cid in sorted(states)
                       if states[cid].status == "active" and states[cid].shard.test.n]
-            scores = _stacked_loss_accuracy(
-                plan.model, global_params, [st.shard.test for st in tested], _STACK_ROWS)
+            scores = _stacked_loss_accuracy(plan.model, global_params, [st.shard.test for st in tested])
             client_metrics = [ClientEval(st.client_id, loss, acc, st.shard.test.n)
                               for st, (loss, acc) in zip(tested, scores)]
 

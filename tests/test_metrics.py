@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fedsim.orchestrator
+import fedsim.metrics
 from fedsim.metrics import (
     MetricSet,
     RocCurve,
@@ -300,7 +300,7 @@ _STACKED_SPECS = [ModelSpec("logistic-regression", 8), ModelSpec("mlp-1hidden", 
     sizes=st.lists(st.sampled_from([1, 3, 15, 127, 128, 129, 600]) | st.integers(1, 600),
                    min_size=1, max_size=12),
     scale=st.sampled_from([0.5, 1e3]),  # 1e3 saturates the scores into the clip and the clamp
-    max_rows=st.sampled_from([1, fedsim.orchestrator._STACK_ROWS, 10**9]),
+    max_rows=st.sampled_from([1, fedsim.metrics._STACK_ROWS, 10**9]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_stacked_evaluation_is_loss_accuracy_bit_for_bit(spec, sizes, scale, max_rows, seed):

@@ -608,13 +608,32 @@ def test_sigmoid_keeps_the_masked_forms_bits_on_edge_inputs_and_every_alias():
         assert np.array_equal(z_in.view(np.uint64), want)
 
 
-@pytest.mark.parametrize("kind, activation", [
+_KINDS = pytest.mark.parametrize("kind, activation", [
     (LOGISTIC, "relu"), (MLP, "relu"), (MLP, "sigmoid"),
 ], ids=["logistic", "relu-mlp", "sigmoid-mlp"])
+
+
+@_KINDS
+def test_every_workspace_array_is_written_by_a_full_batch_step(kind, activation):
+    # A workspace array that no step writes is memory the kernel never needed.
+    spec = ModelSpec(kind, 8, 16 if kind == MLP else None, activation)
+    rng = rng_from(5)
+    X, y = rng.standard_normal((32, 8)), rng.integers(0, 2, 32).astype(np.float64)
+    work = _workspace(spec, 32)
+    for w in work:
+        w[...] = 7.25
+    before = [w.copy() for w in work]
+    _KERNELS[kind](spec, rng.standard_normal(spec.param_count), X, y, work)
+    for i, (old, new) in enumerate(zip(before, work)):
+        assert not np.array_equal(new, old), i
+
+
+@_KINDS
 def test_kernel_step_keeps_the_matmul_forms_bits(kind, activation):
     # One SGD step and one scoring call per (rows, width); the MLP's hidden layer is as wide as
     # its input, so the output product sees every width too.  Besides contiguous batches, the
     # public calls may pass other layouts: Fortran order, strided columns and a column slice.
+    # The relu MLP also sees zero rows with a zero hidden bias: relu's derivative at 0 is 0.
     rng = rng_from(13)
     for m in (1, 2, 3, 5, 8, 17, 64, 129, 300):
         for d in (1, 3, 8, 64, 300):
@@ -625,9 +644,14 @@ def test_kernel_step_keeps_the_matmul_forms_bits(kind, activation):
             layouts = [wide[:, :d].copy(), np.asfortranarray(wide[:, :d])]
             if m in (17, 300):
                 layouts += [wide[:, ::2], wide[:, :d]]
-            for X in layouts:
-                want_p, want_g = _matmul_kernel(spec, v, X, y)
-                p, g = _KERNELS[kind](spec, v, X, y, _workspace(spec, m))
+            inputs = [(X, v) for X in layouts]
+            if (kind, activation, m) == (MLP, "relu", 17):
+                zero_bias = v.copy()
+                zero_bias[d * d : d * d + d] = 0.0
+                inputs.append((np.zeros((m, d)), zero_bias))
+            for X, w in inputs:
+                want_p, want_g = _matmul_kernel(spec, w, X, y)
+                p, g = _KERNELS[kind](spec, w, X, y, _workspace(spec, m))
                 assert p.tobytes() == want_p.tobytes(), (m, d)
                 assert g.tobytes() == want_g.tobytes(), (m, d)
-                assert _KERNELS[kind](spec, v, X)[0].tobytes() == want_p.tobytes(), (m, d)
+                assert _KERNELS[kind](spec, w, X)[0].tobytes() == want_p.tobytes(), (m, d)
