@@ -20,6 +20,7 @@ with the variable's own edit, which wins.  A value's errors are prefixed
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -60,6 +61,7 @@ EXIT_STARVATION = 4
 EXIT_DIVERGED = 5
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedsim", description="deterministic federated-averaging simulator"

@@ -5,6 +5,9 @@ loops, textbook formulas) and shares no code with the package beyond
 numpy, so agreement is evidence rather than tautology.
 """
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
 
@@ -78,6 +81,46 @@ def make_synthetic_reference(class_means, scale, n_per_class, seed):
     labels = np.array([0] * n0 + [1] * n1, dtype=np.int64)
     order = rng.permutation(n0 + n1)
     return np.vstack([x0, x1])[order], labels[order], np.arange(n0 + n1, dtype=np.int64)
+
+
+def read_dataset_csv_reference(path):
+    """The CSV reader one row at a time: Python's ``csv``, ``int()`` and
+    ``float()`` on every field, then the whole-file checks in the package's
+    order and wording.  Returns (features, labels, ids).
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or len(header) < 3 or header[:2] != ["id", "label"]:
+            raise ValueError(f"{path}: expected header id,label,f0..")
+        d = len(header) - 2
+        if header[2:] != [f"f{j}" for j in range(d)]:
+            raise ValueError(f"{path}: malformed feature columns in header")
+        ids, labels, feats = [], [], []
+        for row in reader:
+            try:
+                if len(row) != d + 2:
+                    raise ValueError(f"row has {len(row)} fields, expected {d + 2}")
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                feats.append([float(v) for v in row[2:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
+    try:  # an id or label past 64 bits raises OverflowError
+        features, labels, ids = np.array(feats), np.array(labels, np.int64), np.array(ids, np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for bad, message in [
+        (any(v not in (0, 1) for v in labels.tolist()), "labels must be 0 or 1"),
+        (len(set(ids.tolist())) != ids.size, "sample ids must be unique"),
+        (any(not np.isfinite(v) for v in features.ravel().tolist()), "features must be finite"),
+    ]:
+        if bad:
+            raise ValueError(f"{path}: {message}")
+    return features, labels, ids
 
 
 def masked_sigmoid(z):

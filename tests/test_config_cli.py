@@ -382,6 +382,8 @@ def test_csv_source_paths_resolve_relative_to_config(tmp_path):
         ("0,1,0.1,0.5", "sample ids must be unique"),
         ("1,1,nan,0.5", "features must be finite"),
         ("99999999999999999999,1,0.1,0.5", "Python int too large to convert to C long"),
+        ("", "line 3: row has 0 fields, expected 4"),
+        ("   ", "line 3: row has 1 fields, expected 4"),
     ],
 )
 def test_cli_malformed_csv_names_the_file_and_an_unparsable_line(tmp_path, capsys, row, reason):

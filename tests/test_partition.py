@@ -1,8 +1,12 @@
 """Sharding: disjointness, conservation, engineered label skew, CSV round-trip."""
 
+import csv
+import decimal
 import importlib
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from fedsim.partition import (
     write_dataset_csv,
 )
 
-from _oracles import make_synthetic_reference
+from _oracles import make_synthetic_reference, read_dataset_csv_reference
 
 
 def _master(n_neg, n_pos, seed=0, d=3):
@@ -316,6 +320,11 @@ def test_dataset_csv_roundtrip(tmp_path):
     assert np.array_equal(back.features, ds.features)
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.ids, ds.ids)
+    # Spellings only Python reads (a quoted field, an underscore) still read as float() does.
+    path.write_text('id,label,f0,f1\n4,1,"2.5",1_0\n7,0,-0.0,"1_000.25"\n')
+    back = read_dataset_csv(path)
+    assert back.features.tobytes() == np.array([[2.5, 10.0], [-0.0, 1000.25]]).tobytes()
+    assert back.labels.tolist() == [1, 0] and back.ids.tolist() == [4, 7]
 
 
 def test_dataset_csv_rejects_malformed(tmp_path):
@@ -332,6 +341,108 @@ def test_dataset_csv_rejects_malformed(tmp_path):
     path.write_text("label,id,f0\n1,0,0.5\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: expected header id,label,f0..")):
         read_dataset_csv(path)
+
+
+def _halfway(x):
+    """The exact decimal midway between ``x`` and the next double up."""
+    x = min(abs(x), 1e300)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 2000
+        return str((decimal.Decimal(x) + decimal.Decimal(float(np.nextafter(x, np.inf)))) / 2)
+
+
+# Spellings that int() and float() read and numpy's reader reads the same way, then ones
+# that either of them refuses or that numpy reads otherwise.
+_PLAIN_SPELLINGS = ["-0.0", "1e-400", "5e-324", "2.2250738585072011e-308", "9007199254740993",
+                    "+5", " 7", "\x0b7", "7\x0c", "\t7 "]
+_ODD_SPELLINGS = ["1_0", "\u0663", '"3"', "0x1", "", " ", "1.0", "1e400", "nan", "-inf",
+                  "\x1c7", "7\x1f", "\u11707", "\u30007", "1#", "1e5"]
+_FINITE_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.builds(  # 17-25 significant digits, the inputs a naive parser rounds wrongly
+        lambda digits, point, exp: f"{digits[:point]}.{digits[point:]}e{exp}",
+        st.text("0123456789", min_size=17, max_size=25), st.integers(0, 17), st.integers(-340, 300),
+    ),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(_halfway),
+    st.sampled_from(_PLAIN_SPELLINGS),
+)
+_ODD_TEXT = st.one_of(
+    st.sampled_from(_ODD_SPELLINGS),
+    st.sampled_from(_ODD_SPELLINGS),
+    st.floats().map(repr),
+    st.integers(2**63 - 3, 2**63 + 2).map(str),
+    st.integers(-(2**63) - 2, -(2**63) + 2).map(str),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV bytes in or near the format.  A plain file holds only spellings that
+    both readers take; a second kind respells one field of a plain file; an odd
+    file also has other field counts, stray lines, and bytes that are not UTF-8."""
+    kind = draw(st.sampled_from(["plain", "one spelling", "odd"]))
+    odd = kind == "odd"
+    d = draw(st.integers(1, 3))
+    header = ",".join(["id", "label"] + [f"f{j}" for j in range(d)])
+    lines = [draw(st.sampled_from([header] * 8 + ["id,label", "id,label,g0"])) if odd else header]
+    for i in range(draw(st.integers(0 if odd else 1, 5))):
+        fields = [str(i), draw(st.sampled_from(["0", "1", " 1", "-0"] + ["2", "1.0"] * odd))]
+        fields += [draw(_FINITE_TEXT) for _ in range(d)]
+        if odd and draw(st.integers(0, 2)) == 0:
+            at = draw(st.integers(0, len(fields) - 1))  # one field respelled, dropped or doubled
+            fields[at:at + 1] = draw(st.sampled_from([[draw(_ODD_TEXT)]] * 2 + [[], [fields[at]] * 2]))
+        lines.append(fields)
+    if kind == "one spelling":
+        fields = lines[draw(st.integers(1, len(lines) - 1))]
+        fields[draw(st.integers(0, d + 1))] = draw(st.sampled_from(_ODD_SPELLINGS))
+    lines = [lines[0]] + [",".join(fields) for fields in lines[1:]]
+    for _ in range(draw(st.integers(0, 2)) if odd else 0):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "   ", "\t"])))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no final line end
+    data = text.encode()
+    if odd and draw(st.integers(0, 5)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]  # not UTF-8 from there on
+    return data
+
+
+def _read_arrays(path):
+    ds = read_dataset_csv(path)
+    return ds.features, ds.labels, ds.ids
+
+
+def _outcome(read, path):
+    try:
+        arrays = read(path)
+    except Exception as exc:  # the exception the caller sees, compared by type and message
+        return type(exc), str(exc)
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(data=_csv_files(), field_limit=st.sampled_from([None, None, 48]))
+@example(data=b"id,label,f0\n0,1,0.5\n\n1,0,0.25\n", field_limit=None)  # numpy skips empty lines
+@example(data=b"id,label,f0\r\n", field_limit=None)  # numpy warns and returns no rows
+@example(data=b"id,label,f0\n0,1,0.5\r1,0,\x1c2\r", field_limit=None)  # numpy strips \x1c
+@example(data="id,label,f0\n\u11707,1,0.5\n".encode(), field_limit=None)  # and some non-ASCII
+@example(data=b"id,label,f0\n0,1," + b"0" * 60 + b"\n", field_limit=48)  # csv: field too long
+@example(data=b"id,label,f0\n0,1,0.5#1\n", field_limit=None)  # no comment syntax
+def test_dataset_csv_reads_as_the_row_loop(data, field_limit):
+    """The reader returns the row loop's three arrays bit for bit, or raises its exception."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(data)
+        default = csv.field_size_limit()
+        csv.field_size_limit(field_limit or default)
+        try:
+            want = _outcome(read_dataset_csv_reference, path)
+            got = _outcome(_read_arrays, path)
+        finally:
+            csv.field_size_limit(default)
+    assert got == want
 
 
 def test_empty_master_rejected():
