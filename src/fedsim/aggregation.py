@@ -64,15 +64,16 @@ def _ordered(updates: Sequence[Update]) -> list[Update]:
 
 def _aggregate(ordered: list[Update], weights: list[float]) -> AggregateResult:
     """The ``weights``-combination of the ordered updates, clamped into their envelope."""
-    vals = [u.params.values for u in ordered]
-    acc = weights[0] * vals[0]
-    for w, v in zip(weights[1:], vals[1:]):
-        acc += w * v
-    stacked = np.stack(vals)
-    np.clip(acc, stacked.min(axis=0), stacked.max(axis=0), out=acc)
+    stacked = np.stack([u.params.values for u in ordered])
+    low, high = stacked.min(axis=0), stacked.max(axis=0)
+    stacked *= np.array(weights)[:, None]
+    # Down the rows of a C-ordered stack this adds one row at a time in client-id order, as a
+    # loop of ``acc += w * v`` would; only a one-column stack, which no model has, sums pairwise.
+    acc = np.add.reduce(stacked, axis=0)
+    np.clip(acc, low, high, out=acc)
     return AggregateResult(
-        # The copy stays: adopting ``acc``, allocated before the stack, left the peak RSS
-        # of six in-process silo-mlp passes 0.3-1.0 MB higher.
+        # The copy stays: when ``acc`` was allocated before the stack, adopting it left the peak
+        # RSS of six in-process silo-mlp passes 0.3-1.0 MB higher.
         params=ordered[0].params.with_values(acc),
         weights_used=tuple((u.client_id, w) for u, w in zip(ordered, weights)),
         total_n=sum(u.n for u in ordered),

@@ -14,15 +14,19 @@ builds every value's config, once, before the first value runs: the base
 deep-merged with its ``sweeps.<variable>.<value>`` override (``--values``
 and the override keys are read alike, by ``config.sweep_value``) and then
 with the variable's own edit, which wins.  A value's errors are prefixed
-``<variable>=<value>: ``.
+``<variable>=<value>: ``.  Values run in order, each trajectory once: a
+value whose config differs from an earlier one's only in policy fields its
+events never read writes that run's outputs with its own config echo.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -43,6 +47,7 @@ from .orchestrator import (
     PolicyStarvationError,
     RunAborted,
     RunReport,
+    _policy_reads,
     run,
     static_sim_time,
     sweep_seed,
@@ -121,14 +126,16 @@ def _written(write, *args, **kwargs):
         raise ConfigValidationError(f"cannot write {exc.filename}: {exc.strerror}") from exc
 
 
-def _run_and_write(rc: RunConfig, out_dir: Path) -> RunReport:
-    """Run the plan and write its outputs.  An aborted run writes only its
-    completed rounds and re-raises."""
-    try:
-        report = run(rc.plan)
-    except RunAborted as exc:
-        _written(write_partial_outputs, exc.completed, exc.audit_log, out_dir)
-        raise
+def _run_and_write(rc: RunConfig, out_dir: Path, report: RunReport | None = None) -> RunReport:
+    """Run the plan, unless ``report`` is a run of a plan with the same trajectory, and write
+    the outputs as ``rc``'s.  An aborted run writes only its completed rounds and re-raises."""
+    if report is None:
+        try:
+            report = run(rc.plan)
+        except RunAborted as exc:
+            _written(write_partial_outputs, exc.completed, exc.audit_log, out_dir)
+            raise
+    report = replace(report, plan=rc.plan)
     _written(
         write_run_outputs,
         report,
@@ -218,9 +225,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg = deep_merge(base, overrides.get(str(value), {}))  # validate_config keyed them so
             edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
             built.append(build_plan(validate_config(deep_merge(cfg, edit)), Path(args.config).parent))
-        for value, rc in zip(values, built):  # every value built and checked, now run each
+        # One run per trajectory, keyed by the config but its policy and the policy fields its
+        # events read; a run is kept only while a later value shares its key.
+        keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True), _policy_reads(rc.plan))
+                for rc in built]
+        shared = {}
+        for i, (value, rc, key) in enumerate(zip(values, built, keys)):  # all built and checked
             name = f"{args.variable}={value}"
-            s = _run_and_write(rc, sweep_root / name).summary
+            report = _run_and_write(rc, sweep_root / name, shared.pop(key, None))
+            if key in keys[i + 1:]:
+                shared[key] = report
+            s = report.summary
             epoch_time_s = rc.echo.get("centralized_epoch_time_s")
             baseline = centralized_comparison(rc.plan, epoch_time_s, s.total_sim_time_s)
             runs.append((str(value), s, baseline))

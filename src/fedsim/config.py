@@ -34,6 +34,7 @@ and feeding the echo back through this module reproduces the same plan.
 from __future__ import annotations
 
 import copy
+import csv
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -368,6 +369,9 @@ def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
     except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a source too large to hold
         where = f"{path}.path" if obj["type"] == "csv" else path
         raise ConfigValidationError(f"{where}: {exc}") from exc
+    except csv.Error as exc:  # a field past csv.field_size_limit(); csv names no file
+        file = (base_dir / obj["path"]).resolve()
+        raise ConfigValidationError(f"{path}.path: {file}: {exc}") from exc
 
 
 def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -86,12 +86,15 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> tuple[RocCurve, float]:
     y_sorted = y[order]
     # Last index of each distinct-score group: one operating point per threshold.
     last = np.flatnonzero(np.append(s_sorted[:-1] != s_sorted[1:], True))
-    tpr = np.cumsum(y_sorted)[last] / n_pos
-    fpr = np.cumsum(1 - y_sorted)[last] / n_neg
-    fpr = np.concatenate([[0.0], fpr])
-    tpr = np.concatenate([[0.0], tpr])
+    points = np.zeros((last.size + 1, 2))
+    np.divide(np.cumsum(1 - y_sorted)[last], n_neg, out=points[1:, 0])
+    np.divide(np.cumsum(y_sorted)[last], n_pos, out=points[1:, 1])
+    fpr, tpr = points[:, 0], points[:, 1]
     auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
-    return RocCurve(np.column_stack([fpr, tpr])), auc
+    points.setflags(write=False)
+    curve = object.__new__(RocCurve)  # cumulative shares: (0, 0) to (1, 1), never decreasing
+    object.__setattr__(curve, "points", points)
+    return curve, auc
 
 
 def _losses_accuracies(p: np.ndarray, labels: np.ndarray) -> tuple:

@@ -27,6 +27,9 @@ Event timing:
   Set ``PolicyConfig.delay_resume_same_round`` to False to push that
   first fresh round to s+1 instead.
 
+A plan's events thus decide which policy fields ``run`` reads
+(``_policy_reads``): plans that agree on those follow one trajectory.
+
 ``validate_plan`` compiles the script into a ``Timeline`` that ``run``
 follows with one decision per (phase, delay policy).  Local training that
 turns non-finite raises ``DivergenceError``, which carries the completed
@@ -400,13 +403,24 @@ def validate_plan(plan: SimPlan) -> Timeline:
                     phases[(cid, r)] = "start"
                     phases.update(((cid, m), "mid") for m in range(r + 1, resume))
                     phases[(cid, resume)] = "resume"
-    try:  # a parameter vector numpy cannot allocate fails here, before any command runs
-        np.empty(plan.model.param_count)
-    except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
-        errors.append(f"model: {exc}")
+    # A vector numpy cannot allocate fails here, before any command runs.  Only 32 MiB (2**22
+    # doubles) or more is tried: glibc maps such a block on its own, so the heap stays put, and no
+    # smaller one reaches numpy's size limit.
+    if plan.model.param_count >= 2**22:
+        try:
+            np.empty(plan.model.param_count)
+        except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
+            errors.append(f"model: {exc}")
     if errors:
         raise PlanValidationError("; ".join(errors))
     return timeline
+
+
+def _policy_reads(plan: SimPlan) -> tuple:
+    """The policy fields ``run`` reads for the plan's events, None for each it never reads."""
+    kinds, p = {ev.kind for ev in plan.events}, plan.policy
+    return (p.departure if LEAVE in kinds else None, p.delay if DELAY in kinds else None,
+            p.delay_resume_same_round if DELAY in kinds and p.delay == EXCLUDE_UNTIL_CURRENT else None)
 
 
 def run(plan: SimPlan) -> RunReport:

@@ -211,6 +211,29 @@ def trapezoid_area(xs, ys):
     return total
 
 
+def roc_auc_reference(scores, labels):
+    """ROC points and trapezoid AUC built from concatenated columns, one step at a time."""
+    s = np.asarray(scores, dtype=np.float64).ravel()
+    y = np.asarray(labels).ravel().astype(np.int64)
+    n_pos = int(y.sum())
+    n_neg = int(y.size - n_pos)
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    last = np.flatnonzero(np.append(s_sorted[:-1] != s_sorted[1:], True))
+    fpr = np.concatenate([[0.0], np.cumsum(1 - y_sorted)[last] / n_neg])
+    tpr = np.concatenate([[0.0], np.cumsum(y_sorted)[last] / n_pos])
+    auc = float(np.sum((fpr[1:] - fpr[:-1]) * (tpr[1:] + tpr[:-1]) / 2.0))
+    return np.column_stack([fpr, tpr]), auc
+
+
+def fedavg_loop_reference(values, weights):
+    """``sum(w * v)`` accumulated one update at a time, clamped into the updates' envelope."""
+    acc = weights[0] * values[0]
+    for w, v in zip(weights[1:], values[1:]):
+        acc += w * v
+    return np.clip(acc, np.min(values, axis=0), np.max(values, axis=0))
+
+
 def delay_phase_reference(events, client_id, round_index):
     """A client's phase in a round by scanning every delay event in the script.
 

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedsim.aggregation import (
     AggregateResult,
@@ -14,6 +16,8 @@ from fedsim.aggregation import (
 from fedsim.models import ParameterSet
 from fedsim.orchestrator import NoiseConfig
 from fedsim.seeding import derive_seed, rng_from
+
+from _oracles import fedavg_loop_reference
 
 
 def _pset(values):
@@ -113,6 +117,25 @@ def test_aggregation_property_suite():
             rtol=0,
             atol=1e-12 * max(1.0, lam * scale),
         )
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(st.integers(1, 300), st.integers(2, 3000), st.booleans(), st.integers(0, 2**32 - 1))
+@example(1, 2, True, 0)
+@example(8, 16897, True, 1)  # silo-mlp's layout
+@example(220, 9, True, 2)  # fleet-churn's
+@example(1000, 2, False, 3)
+def test_aggregate_equals_the_sequential_loop_bit_for_bit(k, d, weighted, seed):
+    rng = np.random.default_rng(seed)
+    ids = sorted(int(c) for c in rng.choice(10**6, size=k, replace=False))
+    values = [rng.standard_normal(d) * 10.0 ** float(rng.integers(-6, 7)) for _ in ids]
+    ns = [int(n) for n in rng.integers(1, 5000, size=k)]
+    updates = [_update(cid, v, n) for cid, v, n in zip(ids, values, ns)]
+    shuffled = [updates[i] for i in rng.permutation(k)]
+    agg = (weighted_fedavg if weighted else plain_average)(shuffled)
+    weights = [n / sum(ns) for n in ns] if weighted else [1.0 / k] * k
+    assert agg.weights_used == tuple(zip(ids, weights))
+    assert agg.params.values.tobytes() == fedavg_loop_reference(values, weights).tobytes()
 
 
 def test_aggregation_rejects_bad_input():

@@ -384,6 +384,8 @@ def test_csv_source_paths_resolve_relative_to_config(tmp_path):
         ("99999999999999999999,1,0.1,0.5", "Python int too large to convert to C long"),
         ("", "line 3: row has 0 fields, expected 4"),
         ("   ", "line 3: row has 1 fields, expected 4"),
+        pytest.param("1,1," + "7" * 140_001 + ",0.5", "field larger than field limit (131072)",
+                     id="field-past-the-csv-limit"),
     ],
 )
 def test_cli_malformed_csv_names_the_file_and_an_unparsable_line(tmp_path, capsys, row, reason):
@@ -869,6 +871,45 @@ def test_cli_sweep_runs_a_repeated_policy_once_in_first_given_order(tmp_path, ca
     assert sorted(p.name for p in root.iterdir() if p.is_dir()) == sorted(runs)
     with (root / "comparison.csv").open() as fh:
         assert [r["value"] for r in csv.DictReader(fh)] == [a, b]
+
+
+POLICY_VALUES = ("drop-history+use-stale-accept-any", "drop-history+exclude-until-current",
+                 "retain-last+use-stale-accept-any", "retain-last+exclude-until-current")
+DELAY_EVENT = {"round": 1, "kind": "delay", "client": 0, "resume_round": 2}
+LEAVE_EVENT = {"round": 2, "kind": "leave", "client": 1}
+
+
+@pytest.mark.parametrize("events, ran", [
+    ([], [0]), ([DELAY_EVENT], [0, 1]), ([LEAVE_EVENT], [0, 2]),
+    ([DELAY_EVENT, LEAVE_EVENT], [0, 1, 2, 3]),
+], ids=["no-events", "delay-only", "leave-only", "delay-and-leave"])
+def test_cli_policy_sweep_runs_each_trajectory_once_and_writes_every_value(
+    tmp_path, monkeypatch, events, ran
+):
+    # ``ran``: the values that run, the first of each trajectory; the others reuse its run.
+    cfg = {**_base_cfg(), "events": events, "centralized_epoch_time_s": 4.0}
+    argv = ["sweep", "--config", _write(tmp_path, cfg), "--variable", "policy",
+            "--values", ",".join(POLICY_VALUES)]
+    planned = []
+
+    def counting_run(plan):
+        planned.append(f"{plan.policy.departure}+{plan.policy.delay}")
+        return fedsim.orchestrator.run(plan)
+
+    monkeypatch.setattr(fedsim.cli, "run", counting_run)
+    assert main(argv + ["--out", str(tmp_path / "shared")]) == 0
+    assert planned == [POLICY_VALUES[i] for i in ran]
+    monkeypatch.setattr(fedsim.cli, "_policy_reads", lambda plan: plan.policy)  # a run per value
+    assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
+    assert planned[len(ran):] == list(POLICY_VALUES)
+    shared, alone = ({p.relative_to(tmp_path / d): p.read_bytes()
+                      for p in (tmp_path / d).rglob("*") if p.is_file()} for d in ("shared", "alone"))
+    assert shared == alone  # the same files, byte for byte
+    for value in POLICY_VALUES:
+        summary = json.loads(shared[Path("sweep_policy", f"policy={value}", "summary.json")])
+        departure, delay = value.split("+")
+        assert summary["config"]["policy"] == {
+            "departure": departure, "delay": delay, "delay_resume_same_round": True}
 
 
 def test_cli_sweep_builds_one_plan_per_value_and_never_the_base(tmp_path, monkeypatch):

@@ -23,7 +23,7 @@ from fedsim.orchestrator import RoundRecord, RunReport
 from fedsim.partition import make_synthetic
 from fedsim.seeding import rng_from
 
-from _oracles import pairwise_auc, trapezoid_area
+from _oracles import pairwise_auc, roc_auc_reference, trapezoid_area
 
 
 def test_auc_fixture_three_quarters():
@@ -73,6 +73,20 @@ def test_trapezoid_matches_pairwise_oracle():
         assert abs(auc - pairwise_auc(scores, labels)) <= 1e-12
         # the reported area really is the trapezoid area of the curve
         assert abs(auc - trapezoid_area(curve.points[:, 0], curve.points[:, 1])) <= 1e-12
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1 / 3, 0.9, 1.0]) | st.floats(0, 1),
+                          st.integers(0, 1)), min_size=2, max_size=300)
+       .filter(lambda rows: len({y for _, y in rows}) == 2))
+def test_roc_curve_is_a_valid_curve_and_equals_the_column_built_one(rows):
+    scores, labels = np.array([s for s, _ in rows]), np.array([y for _, y in rows])
+    curve, auc = roc_auc(scores, labels)
+    points, want = roc_auc_reference(scores, labels)
+    assert curve.points.tobytes() == points.tobytes() and curve.points.shape == points.shape
+    assert auc.hex() == want.hex()
+    assert RocCurve(curve.points).points.tobytes() == points.tobytes()  # the public checks pass
+    assert not curve.points.flags.writeable
 
 
 def test_auc_label_complement_and_monotone_invariance():

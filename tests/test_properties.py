@@ -278,6 +278,29 @@ def test_run_matches_the_whole_run_reference_under_every_policy(plan, model):
         assert report.final_params.values.tobytes() == final.tobytes()
 
 
+def _trajectory(plan):
+    """Rounds, audit log and final parameters as bytes, or the abort and what it completed."""
+    try:
+        report = run(plan)
+    except RunAborted as exc:
+        return type(exc), exc.round_index, _written(exc.completed, exc.audit_log)
+    return _written(report.rounds, report.audit_log), report.final_params.values.tobytes()
+
+
+@TINY
+@given(plans())
+def test_policies_that_agree_on_the_fields_their_events_read_share_one_trajectory(plan):
+    # A sweep runs one of each such group; this fails if ``run`` reads a field outside the rule.
+    groups = {}
+    for policy in POLICIES:
+        variant = replace(plan, policy=policy)
+        groups.setdefault(orch._policy_reads(variant), []).append(_trajectory(variant))
+    kinds = {ev.kind for ev in plan.events}
+    assert len(groups) == (2 if "leave" in kinds else 1) * (3 if "delay" in kinds else 1)
+    for trajectories in groups.values():
+        assert all(t == trajectories[0] for t in trajectories)
+
+
 @st.composite
 def mutations(draw):
     stem = draw(st.sampled_from(sorted(DEMO_CONFIGS)))
