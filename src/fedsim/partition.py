@@ -171,19 +171,16 @@ def make_synthetic(
     )
     rng = rng_from(seed)
     features = np.empty((n0 + n1, mean0.size))
-    for rows, mean in ((features[:n0], mean0), (features[n0:], mean1)):
-        rng.standard_normal(rows.shape, out=rows)
-        rows *= scale  # the bits of mean + scale * normal: IEEE * and + commute exactly
-        rows += mean
-    labels = np.concatenate([np.zeros(n0, dtype=np.int64), np.ones(n1, dtype=np.int64)])
-    order = rng.permutation(n0 + n1)
-    ids = np.arange(n0 + n1, dtype=np.int64)
-    return _adopt_dataset(features[order], labels[order], ids)
-
-
-def _near_equal_counts(n: int, k: int) -> list[int]:
-    base, rem = divmod(n, k)
-    return [base + 1 if i < rem else base for i in range(k)]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check below
+        for rows, mean in ((features[:n0], mean0), (features[n0:], mean1)):
+            rng.standard_normal(rows.shape, out=rows)
+            rows *= scale  # the bits of mean + scale * normal: IEEE * and + commute exactly
+            rows += mean
+    if not np.isfinite(features).all():  # the labels and ids below are valid by construction
+        raise ValueError("features must be finite")
+    order = rng.permutation(n0 + n1)  # row i of the shuffle is drawn row order[i], label 1 past n0
+    labels, ids = (order >= n0).astype(np.int64), np.arange(n0 + n1, dtype=np.int64)
+    return _adopt_dataset(features[order], labels, ids, check=False)
 
 
 def _positive_targets(counts: list[int], fractions: tuple[float, ...]) -> list[int]:
@@ -201,25 +198,13 @@ def _positive_targets(counts: list[int], fractions: tuple[float, ...]) -> list[i
     return pos
 
 
-def _split_shard(
-    master: Dataset, sample_idx: np.ndarray, client_id: int, plan: PartitionPlan
-) -> ClientShard:
-    order = rng_from(plan.seed, _SPLIT, client_id).permutation(sample_idx.size)
-    shuffled = sample_idx[order]
-    n = shuffled.size
-    n_train = min(n, max(1, round(plan.train_fraction * n)))
-    # sample_idx holds distinct positions, dealt from permutations of disjoint pools, and train
-    # and test are disjoint slices of its shuffle: no id repeats, so the rows need no check.
-    return ClientShard(client_id, master._rows(shuffled[:n_train]), master._rows(shuffled[n_train:]))
-
-
 def partition(master: Dataset, plan: PartitionPlan) -> list[ClientShard]:
     """Cut ``master`` into ``plan.client_count`` disjoint shards.
 
     Shards carry positional client ids 0..k-1; callers that use their
     own id scheme can rebind with ``relabel_shard``.  Raises
     InfeasiblePartition when the requested totals or label mixes exceed
-    what the master holds.
+    what the master holds.  The shards are slices of one block of rows.
     """
     k = plan.client_count
     if master.n < 1:
@@ -227,38 +212,48 @@ def partition(master: Dataset, plan: PartitionPlan) -> list[ClientShard]:
     if plan.counts is None:  # random-uniform, or label-skew at near-equal sizes
         if master.n < k:
             raise InfeasiblePartition(f"cannot cut {k} nonempty shards from {master.n} samples")
-        counts = _near_equal_counts(master.n, k)
+        base, rem = divmod(master.n, k)  # near-equal: the first rem clients take one more
+        counts = [base + (i < rem) for i in range(k)]
     else:
         counts = list(plan.counts)
 
     # Each pool, the whole master or its positives then its negatives, is shuffled and cut
     # at the clients' cumulative shares; the piece after the last share stays undealt.
-    whole = {"samples": (np.arange(master.n), counts)}
-    if plan.positive_fractions is None:
-        pools = whole
-    else:
+    pools = whole = {"samples": (np.arange(master.n), counts)}
+    if plan.positive_fractions is not None:
         pos_share = _positive_targets(counts, plan.positive_fractions)
         neg_share = [c - p for c, p in zip(counts, pos_share)]
-        pools = {
-            "positives": (np.flatnonzero(master.labels == 1), pos_share),
-            "negatives": (np.flatnonzero(master.labels == 0), neg_share),
-        }
+        pools = {"positives": (np.flatnonzero(master.labels == 1), pos_share),
+                 "negatives": (np.flatnonzero(master.labels == 0), neg_share)}
     for what, (ids, share) in {**whole, **pools}.items():  # the whole master is checked first
         if sum(share) > ids.size:
             raise InfeasiblePartition(f"requested {sum(share)} {what} but master holds {ids.size}")
     rng = rng_from(plan.seed, _SELECT)
-    hands = [np.split(rng.permutation(ids), np.cumsum(share)) for ids, share in pools.values()]
-    return [
-        _split_shard(master, np.concatenate(pieces), cid, plan)
-        for cid, pieces in zip(range(k), zip(*hands))
-    ]
+    hands = [(rng.permutation(ids), np.cumsum([0, *share])) for ids, share in pools.values()]
+    dealt = [np.concatenate([perm[cut[c] : cut[c + 1]] for perm, cut in hands]) for c in range(k)]
+    # Each client's positions, shuffled by its own split stream, are distinct: they are dealt
+    # from permutations of disjoint pools.  So the one block of their rows needs no check, and
+    # neither do its disjoint slices, each client's train rows and then its test rows.
+    block = master._rows(np.concatenate(
+        [d[rng_from(plan.seed, _SPLIT, c).permutation(d.size)] for c, d in enumerate(dealt)]))
+    shards, end, rows = [], 0, block._rows
+    for cid, n in enumerate(counts):  # a client is dealt its count, split over the pools
+        start, end = end, end + n
+        mid = start + min(n, max(1, round(plan.train_fraction * n)))
+        shards.append(_adopt_shard(cid, rows(slice(start, mid)), rows(slice(mid, end))))
+    return shards
+
+
+def _adopt_shard(client_id: int, train: Dataset, test: Dataset) -> ClientShard:
+    """A ClientShard of data that keeps its checks, built without re-checking it."""
+    out = object.__new__(ClientShard)
+    out.__dict__.update(client_id=client_id, train=train, test=test)
+    return out
 
 
 def relabel_shard(shard: ClientShard, client_id: int) -> ClientShard:
     """Same data under a different client id; the data keeps the shard's checks."""
-    out = object.__new__(ClientShard)
-    out.__dict__.update(vars(shard), client_id=integer(client_id, "client_id"))
-    return out
+    return _adopt_shard(integer(client_id, "client_id"), shard.train, shard.test)
 
 
 def skew_report(shards: list[ClientShard]) -> SkewReport:

@@ -16,6 +16,7 @@ Python 3.11.7.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -54,9 +55,12 @@ def derive_seed(*parts: int) -> int:
     return int(np.random.SeedSequence(_entropy(parts)).generate_state(1, np.uint64)[0])
 
 
+@functools.cache
 def _constants(init: int, mult: int, n: int) -> np.ndarray:
-    """A hash's first ``n`` constants, ``init * mult**i`` mod 2**32, as a uint32 column."""
-    return np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(n)], np.uint32)[:, None]
+    """A hash's first ``n`` constants, ``init * mult**i`` mod 2**32, as a cached uint32 column."""
+    out = np.array([init * pow(mult, i, 1 << 32) & _MASK32 for i in range(n)], np.uint32)[:, None]
+    out.setflags(write=False)
+    return out
 
 
 def _batch_states(*parts) -> np.ndarray:

@@ -6,6 +6,7 @@ numpy, so agreement is evidence rather than tautology.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,54 @@ def make_synthetic_reference(class_means, scale, n_per_class, seed):
     labels = np.array([0] * n0 + [1] * n1, dtype=np.int64)
     order = rng.permutation(n0 + n1)
     return np.vstack([x0, x1])[order], labels[order], np.arange(n0 + n1, dtype=np.int64)
+
+
+def partition_reference(master, plan, shard):
+    """``partition`` as it was first written: each pool's permutation cut by
+    ``np.split``, two checked ``master.subset`` gathers per client, and each
+    shard built by the caller's checked ``shard(client_id, train, test)``.
+    Selection is keyed ``(seed, 0)`` and client c's split ``(seed, 1, c)``,
+    through numpy's ``SeedSequence``.  An infeasible plan raises ValueError
+    with the package's wording.
+    """
+    k = plan.client_count
+    if master.n < 1:
+        raise ValueError("master dataset is empty")
+    if plan.counts is None:
+        if master.n < k:
+            raise ValueError(f"cannot cut {k} nonempty shards from {master.n} samples")
+        base, rem = divmod(master.n, k)
+        counts = [base + 1 if i < rem else base for i in range(k)]
+    else:
+        counts = list(plan.counts)
+    whole = {"samples": (np.arange(master.n), counts)}
+    if plan.positive_fractions is None:
+        pools = whole
+    else:
+        targets = [c * f for c, f in zip(counts, plan.positive_fractions)]
+        pos = [math.floor(t) for t in targets]
+        shortfall = round(sum(targets)) - sum(pos)
+        for i in range(k):  # the rounded-off shortfall, one sample each to the lowest ids
+            if shortfall and pos[i] < counts[i]:
+                pos[i] += 1
+                shortfall -= 1
+        pools = {
+            "positives": (np.flatnonzero(master.labels == 1), pos),
+            "negatives": (np.flatnonzero(master.labels == 0), [c - p for c, p in zip(counts, pos)]),
+        }
+    for what, (ids, share) in {**whole, **pools}.items():
+        if sum(share) > ids.size:
+            raise ValueError(f"requested {sum(share)} {what} but master holds {ids.size}")
+    rng = np.random.default_rng(np.random.SeedSequence([plan.seed, 0]))
+    hands = [np.split(rng.permutation(ids), np.cumsum(share)) for ids, share in pools.values()]
+    shards = []
+    for cid, pieces in zip(range(k), zip(*hands)):
+        sample_idx = np.concatenate(pieces)
+        split = np.random.default_rng(np.random.SeedSequence([plan.seed, 1, cid]))
+        shuffled = sample_idx[split.permutation(sample_idx.size)]
+        n_train = min(shuffled.size, max(1, round(plan.train_fraction * shuffled.size)))
+        shards.append(shard(cid, master.subset(shuffled[:n_train]), master.subset(shuffled[n_train:])))
+    return shards
 
 
 def read_dataset_csv_reference(path):

@@ -1054,6 +1054,19 @@ def _diverging_cfg():
     return cfg
 
 
+def test_cli_overflowing_synthetic_source_prints_one_validation_error(tmp_path):
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "three_clients.json"
+    cfg = json.loads(demo.read_text())
+    cfg["data"]["source"].update(cov_scale=1e308, class_means=[[1e308] * 3, [-1e308] * 3])
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "fedsim.cli", "validate", "--config", _write(tmp_path, cfg)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == ["validation error: data.source: features must be finite"]
+
+
 def test_cli_diverging_run_exits_5_and_keeps_partial_results(tmp_path):
     out = tmp_path / "diverged"
     src = str(Path(fedsim.__file__).resolve().parents[1])

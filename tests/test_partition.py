@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from fedsim.models import Dataset
 from fedsim.partition import (
     ClientShard,
+    PARTITION_MODES,
     InfeasiblePartition,
     PartitionPlan,
     make_synthetic,
@@ -26,7 +27,8 @@ from fedsim.partition import (
     write_dataset_csv,
 )
 
-from _oracles import make_synthetic_reference, read_dataset_csv_reference
+from test_models import _peak_bytes
+from _oracles import make_synthetic_reference, partition_reference, read_dataset_csv_reference
 
 
 def _master(n_neg, n_pos, seed=0, d=3):
@@ -122,6 +124,12 @@ def test_make_synthetic_checks_its_source_before_drawing(monkeypatch):
     ]:
         with pytest.raises(ValueError, match=message):
             make_synthetic(means, scale, sizes, seed=1)
+
+
+def test_make_synthetic_overflow_fails_the_finite_check_without_a_warning():
+    # Under the suite's error::RuntimeWarning filter a stray overflow warning raises here.
+    with pytest.raises(ValueError, match=r"^features must be finite$"):
+        make_synthetic([[1e308] * 3, [-1e308] * 3], 1e308, (20, 20), seed=1)
 
 
 def test_plan_validation():
@@ -252,6 +260,72 @@ def test_infeasible_partitions_raise():
         )
     with pytest.raises(InfeasiblePartition):
         partition(master, PartitionPlan("random-uniform", 101))
+
+
+@st.composite
+def _partition_cases(draw):
+    """A master of generated rows, ids and label mix, and a plan of any mode over it."""
+    d, n_neg, n_pos = draw(st.integers(1, 3)), draw(st.integers(0, 30)), draw(st.integers(0, 30))
+    mode, k = draw(st.sampled_from(PARTITION_MODES)), draw(st.integers(1, 6))
+    counts = draw(st.none() | st.lists(st.integers(1, 12), min_size=k, max_size=k).map(tuple))
+    fraction = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    fractions = draw(st.none() | st.lists(fraction, min_size=k, max_size=k).map(tuple))
+    if mode == "explicit-counts":
+        counts = counts or (1,) * k
+    elif mode == "random-uniform":
+        counts = fractions = None
+    else:
+        fractions = fractions or (0.5,) * k
+    train_fraction = draw(st.sampled_from([1.0]) | st.floats(0.0, 1.0, exclude_min=True))
+    return (d, n_neg, n_pos, draw(st.integers(0, 2**32)), mode, k, counts, fractions,
+            train_fraction, draw(st.integers(0, 2**64)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(_partition_cases())
+@example((3, 20, 20, 1, "explicit-counts", 3, (5, 9, 4), (0.0, 1.0, 0.5), 0.75, 7))  # undealt rows
+@example((2, 20, 20, 2, "explicit-counts", 2, (6, 7), None, 0.6, 8))  # undealt, no label mix
+@example((2, 9, 14, 3, "random-uniform", 1, None, None, 1.0, 9))  # k = 1, no test rows
+@example((1, 12, 12, 4, "label-skew", 4, None, (0.0, 1.0, 0.0, 1.0), 1.0, 10))
+@example((2, 15, 5, 5, "label-skew", 2, (6, 9), (0.0, 1.0), 0.5, 2**64))
+def test_partition_equals_the_split_and_subset_reference_bit_for_bit(case):
+    d, n_neg, n_pos, data_seed, mode, k, counts, fractions, train_fraction, seed = case
+    if n_neg + n_pos == 0:
+        n_neg = 1
+    rng = np.random.default_rng(data_seed)
+    n = n_neg + n_pos
+    master = Dataset(rng.standard_normal((n, d)), rng.permutation([0] * n_neg + [1] * n_pos),
+                     rng.permutation(n) * 7 + 3)
+    plan = PartitionPlan(mode, k, counts, fractions, train_fraction, seed)
+    try:
+        want = partition_reference(master, plan, ClientShard)
+    except ValueError as exc:
+        with pytest.raises(InfeasiblePartition, match=f"^{re.escape(str(exc))}$"):
+            partition(master, plan)
+        return
+    got = partition(master, plan)
+    assert [s.client_id for s in got] == [s.client_id for s in want] == list(range(k))
+    for g, w in zip(got, want):
+        for side in ("train", "test"):
+            for name in ("features", "labels", "ids"):
+                a, b = getattr(getattr(g, side), name), getattr(getattr(w, side), name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+                assert not a.flags.writeable and a.flags.c_contiguous
+
+
+def test_partition_allocates_one_block_of_rows():
+    master = _master(4000, 4000, seed=70, d=64)
+    plan = PartitionPlan("label-skew", 40, counts=(150,) * 40,
+                         positive_fractions=(0.2, 0.8) * 20, seed=71)
+    peak = _peak_bytes(lambda: partition(master, plan))
+    dealt = sum(plan.counts)
+    rows = dealt * (master.features.itemsize * master.feature_dim + 16)  # features, labels, ids
+    # The pools and their permutations, the clients' dealt positions and their concatenation.
+    index = (2 * master.n + 2 * dealt) * 8
+    assert peak <= 1.1 * (rows + index)
+    shards = partition(master, plan)
+    first, last = shards[0].train.features, shards[-1].test.features
+    assert np.shares_memory(first.base, last)  # slices of one block
 
 
 def test_skew_report_single_shard_all_positive():
