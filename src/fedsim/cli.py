@@ -14,9 +14,9 @@ builds every value's config, once, before the first value runs: the base
 deep-merged with its ``sweeps.<variable>.<value>`` override (``--values``
 and the override keys are read alike, by ``config.sweep_value``) and then
 with the variable's own edit, which wins.  A value's errors are prefixed
-``<variable>=<value>: ``.  Values run in order, each trajectory once: a
-value whose config differs from an earlier one's only in policy fields its
-events never read writes that run's outputs with its own config echo.
+``<variable>=<value>: ``.  Values run in order, each trajectory once: values
+that differ only in policy and whose compiled Timelines agree share one run,
+and each later one writes that run's outputs with its own config echo.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ from .orchestrator import (
     PolicyStarvationError,
     RunAborted,
     RunReport,
-    _policy_reads,
     run,
     static_sim_time,
     sweep_seed,
+    validate_plan,
 )
 from .report import (
     centralized_comparison,
@@ -212,6 +212,12 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
     return {"seed": seed, "clients": [{"id": i + 1, "epoch_time_s": t} for i in range(value)]}
 
 
+def _compiled_policy(plan) -> tuple:
+    """The part of the plan's Timeline its policy decides: delay-window actions and departure."""
+    timeline = validate_plan(plan)
+    return tuple(timeline.phases.items()), timeline.departure
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _edited_config(args)
     overrides = base.pop("sweeps", {}).get(args.variable, {})
@@ -225,9 +231,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg = deep_merge(base, overrides.get(str(value), {}))  # validate_config keyed them so
             edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
             built.append(build_plan(validate_config(deep_merge(cfg, edit)), Path(args.config).parent))
-        # One run per trajectory, keyed by the config but its policy and the policy fields its
-        # events read; a run is kept only while a later value shares its key.
-        keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True), _policy_reads(rc.plan))
+        # One run per trajectory, keyed by the config but its policy and the policy as its
+        # Timeline compiles it; a run is kept only while a later value shares its key.
+        keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True), _compiled_policy(rc.plan))
                 for rc in built]
         shared = {}
         for i, (value, rc, key) in enumerate(zip(values, built, keys)):  # all built and checked

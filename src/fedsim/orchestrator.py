@@ -27,16 +27,14 @@ Event timing:
   Set ``PolicyConfig.delay_resume_same_round`` to False to push that
   first fresh round to s+1 instead.
 
-A plan's events thus decide which policy fields ``run`` reads
-(``_policy_reads``): plans that agree on those follow one trajectory.
-
-``validate_plan`` compiles the script into a ``Timeline`` that ``run``
-follows with one decision per (phase, delay policy).  Local training that
-turns non-finite raises ``DivergenceError``, which carries the completed
-rounds and the audit log, as ``PolicyStarvationError`` does; noise that
-turns the parameters non-finite raises a plain ``RunAborted`` that names
-the round and the noise placement.  Each ends the audit log with an
-``abort`` line that gives the round and the reason.
+``validate_plan`` compiles the script and the policy into a ``Timeline``,
+the only form of the policy ``run`` reads, so plans whose Timelines agree
+follow one trajectory.  Local training that turns non-finite raises
+``DivergenceError``, which carries the completed rounds and the audit log,
+as ``PolicyStarvationError`` does; noise that turns the parameters
+non-finite raises a plain ``RunAborted`` that names the round and the noise
+placement.  Each ends the audit log with an ``abort`` line that gives the
+round and the reason.
 
 The clock charges each round ``epochs`` times the slowest client that
 trained fresh for that round's aggregation; clients whose updates are
@@ -314,13 +312,16 @@ def simulated_time(n_epochs: int, per_round_fresh_times: Sequence[Sequence[float
 
 @dataclass(frozen=True)
 class Timeline:
-    """The event script compiled by ``validate_plan``: each round's joins and
-    leaves in the order they apply, and (client, round) -> "start" | "mid" |
-    "resume" for every round of each closed delay window."""
+    """The plan compiled by ``validate_plan``: each round's joins and leaves in the order they
+    apply, the departure policy if a client leaves (else None), and (client, round) -> the
+    delay policy's action in every round of each closed delay window: "hold", "stale", "accept"
+    under use-stale-accept-any, else "withhold", "absent", then "retrain" or "discard".  An
+    active client with no entry trains fresh."""
 
     joins: dict[int, list[IntermittencyEvent]] = field(default_factory=dict)
     leaves: dict[int, list[IntermittencyEvent]] = field(default_factory=dict)
     phases: dict[tuple[int, int], str] = field(default_factory=dict)
+    departure: str | None = None
 
 
 def validate_plan(plan: SimPlan) -> Timeline:
@@ -349,8 +350,10 @@ def validate_plan(plan: SimPlan) -> Timeline:
 
     known = set(ids)
     active = set(ids)
-    timeline = Timeline()
-    phases = timeline.phases
+    joins, leaves, phases = {}, {}, {}
+    # A delay window's actions: its first round, the rounds between, its resume round.
+    hold, wait, back = ("hold", "stale", "accept") if plan.policy.delay == USE_STALE else (
+        "withhold", "absent", "retrain" if plan.policy.delay_resume_same_round else "discard")
     by_round: dict[int, list[IntermittencyEvent]] = {}
     for ev in plan.events:
         by_round.setdefault(ev.round_index, []).append(ev)
@@ -379,7 +382,7 @@ def validate_plan(plan: SimPlan) -> Timeline:
                 else:
                     known.add(cid)
                     active.add(cid)
-                    timeline.joins.setdefault(r, []).append(ev)
+                    joins.setdefault(r, []).append(ev)
             elif ev.kind == LEAVE:
                 if cid not in active:
                     errors.append(f"round {r}: leave targets inactive client {cid}")
@@ -387,7 +390,7 @@ def validate_plan(plan: SimPlan) -> Timeline:
                     errors.append(f"round {r}: leave targets client {cid} during a delay window")
                 else:
                     active.discard(cid)
-                    timeline.leaves.setdefault(r, []).append(ev)
+                    leaves.setdefault(r, []).append(ev)
             else:  # DELAY
                 resume = ev.resume_round
                 if cid not in active:
@@ -400,9 +403,9 @@ def validate_plan(plan: SimPlan) -> Timeline:
                         f"after the last round {plan.n_rounds}"
                     )
                 else:
-                    phases[(cid, r)] = "start"
-                    phases.update(((cid, m), "mid") for m in range(r + 1, resume))
-                    phases[(cid, resume)] = "resume"
+                    phases[(cid, r)] = hold
+                    phases.update(((cid, m), wait) for m in range(r + 1, resume))
+                    phases[(cid, resume)] = back
     # A vector numpy cannot allocate fails here, before any command runs.  Only 32 MiB (2**22
     # doubles) or more is tried: glibc maps such a block on its own, so the heap stays put, and no
     # smaller one reaches numpy's size limit.
@@ -413,20 +416,12 @@ def validate_plan(plan: SimPlan) -> Timeline:
             errors.append(f"model: {exc}")
     if errors:
         raise PlanValidationError("; ".join(errors))
-    return timeline
-
-
-def _policy_reads(plan: SimPlan) -> tuple:
-    """The policy fields ``run`` reads for the plan's events, None for each it never reads."""
-    kinds, p = {ev.kind for ev in plan.events}, plan.policy
-    return (p.departure if LEAVE in kinds else None, p.delay if DELAY in kinds else None,
-            p.delay_resume_same_round if DELAY in kinds and p.delay == EXCLUDE_UNTIL_CURRENT else None)
+    return Timeline(joins, leaves, phases, plan.policy.departure if leaves else None)
 
 
 def run(plan: SimPlan) -> RunReport:
     """Simulate the full round schedule; see the module docstring for semantics."""
     timeline = validate_plan(plan)
-    stale_serving = plan.policy.delay == USE_STALE
     states: dict[int, ClientState] = {
         c.client_id: ClientState(c.client_id, c.shard, float(c.epoch_time_s))
         for c in plan.clients
@@ -493,24 +488,22 @@ def run(plan: SimPlan) -> RunReport:
             participants: list[Participation] = []
             for cid in sorted(states):
                 st = states[cid]
-                phase = "departed" if st.status == "departed" else timeline.phases.get((cid, r))
-                if phase == "start":
-                    if stale_serving:  # an excluded late update is never computed
-                        held_back[cid] = train(st, r)
+                action = "stale" if st.status == "departed" else timeline.phases.get((cid, r), "train")
+                if action == "hold":  # trained on this broadcast, delivered when its window closes
+                    held_back[cid] = train(st, r)
+                if action in ("hold", "withhold"):
                     audit.append(f"round {r} delay client={cid} update held back")
-                elif phase == "resume" and stale_serving:
+                elif action == "accept":
                     st.last_update = held_back.pop(cid)
                     audit.append(f"round {r} late-delivery client={cid} accepted")
-                elif phase == "resume":
+                elif action in ("retrain", "discard"):  # an excluded late update is never computed
                     audit.append(f"round {r} late-delivery client={cid} discarded")
 
                 # Train fresh now, serve the last delivered update, or send nothing.
-                if phase is None or (
-                    phase == "resume" and not stale_serving and plan.policy.delay_resume_same_round
-                ):
+                if action in ("train", "retrain"):
                     st.last_update = train(st, r)
                     participants.append(Participation(cid, True, 0))
-                elif (phase == "departed" or stale_serving) and st.last_update is not None:
+                elif action in ("hold", "stale", "accept") and st.last_update is not None:
                     participants.append(Participation(cid, False, r - st.last_update.produced_round))
 
             if not participants:
@@ -536,9 +529,9 @@ def run(plan: SimPlan) -> RunReport:
             for ev in timeline.leaves.get(r, ()):
                 st = states[ev.client_id]
                 st.status = "departed"
-                if plan.policy.departure == DROP_HISTORY:
+                if timeline.departure == DROP_HISTORY:
                     st.last_update = None
-                audit.append(f"round {r} leave client={ev.client_id} policy={plan.policy.departure}")
+                audit.append(f"round {r} leave client={ev.client_id} policy={timeline.departure}")
 
             tested = [states[cid] for cid in sorted(states)
                       if states[cid].status == "active" and states[cid].shard.test.n]

@@ -899,7 +899,7 @@ def test_cli_policy_sweep_runs_each_trajectory_once_and_writes_every_value(
     monkeypatch.setattr(fedsim.cli, "run", counting_run)
     assert main(argv + ["--out", str(tmp_path / "shared")]) == 0
     assert planned == [POLICY_VALUES[i] for i in ran]
-    monkeypatch.setattr(fedsim.cli, "_policy_reads", lambda plan: plan.policy)  # a run per value
+    monkeypatch.setattr(fedsim.cli, "_compiled_policy", lambda plan: plan.policy)  # a run per value
     assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
     assert planned[len(ran):] == list(POLICY_VALUES)
     shared, alone = ({p.relative_to(tmp_path / d): p.read_bytes()

@@ -1,17 +1,20 @@
 """Round loop semantics: clock, membership events, policies, determinism."""
 
+import json
 import math
 import re
 import tracemalloc
 import warnings
 from dataclasses import replace
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fedsim.orchestrator
 from fedsim.aggregation import Update, add_uniform_noise
+from fedsim.config import build_plan, validate_config
 from fedsim.metrics import MetricSet
 from fedsim.models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from fedsim.orchestrator import (
@@ -37,6 +40,10 @@ from fedsim.report import write_run_outputs
 from fedsim.seeding import derive_seed, rng_from
 
 SPEC = ModelSpec("logistic-regression", input_dim=2)
+POLICIES = [PolicyConfig(departure, delay)
+            for departure in ("drop-history", "retain-last")
+            for delay in ("use-stale-accept-any", "exclude-until-current")]
+POLICIES.append(PolicyConfig(delay="exclude-until-current", delay_resume_same_round=False))
 GLOBAL_TEST = make_synthetic([[-2, -2], [2, 2]], 1.0, (40, 40), seed=990)
 
 
@@ -577,13 +584,41 @@ def test_validate_plan_compiles_the_timeline():
         IntermittencyEvent.join(4, 9, joiner, 2.0),
         IntermittencyEvent.delay(6, 9, 7),
     )
-    timeline = validate_plan(_plan(events=events))
-    assert timeline.joins == {4: [events[2]]}
-    assert timeline.leaves == {4: [events[0]]}
-    assert timeline.phases == {
-        (1, 2): "start", (1, 3): "mid", (1, 4): "mid", (1, 5): "resume",
-        (9, 6): "start", (9, 7): "resume",
+    windows = {  # a delay window's first round, rounds between, resume round
+        ("use-stale-accept-any", True): ("hold", "stale", "accept"),
+        ("use-stale-accept-any", False): ("hold", "stale", "accept"),
+        ("exclude-until-current", True): ("withhold", "absent", "retrain"),
+        ("exclude-until-current", False): ("withhold", "absent", "discard"),
     }
+    for policy in POLICIES:
+        timeline = validate_plan(_plan(events=events, policy=policy))
+        assert timeline.joins == {4: [events[2]]}
+        assert timeline.leaves == {4: [events[0]]}
+        hold, wait, back = windows[policy.delay, policy.delay_resume_same_round]
+        assert timeline.phases == {
+            (1, 2): hold, (1, 3): wait, (1, 4): wait, (1, 5): back, (9, 6): hold, (9, 7): back,
+        }
+        assert timeline.departure == policy.departure
+    assert validate_plan(_plan(events=events[1:])).departure is None  # no client leaves
+
+
+class _Unreadable:
+    def __getattr__(self, name):
+        raise AssertionError(f"run read policy.{name}")
+
+
+@pytest.mark.parametrize("stem", ["leave_join", "delayed_update"])
+def test_run_reads_the_policy_only_through_the_timeline(monkeypatch, stem):
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    demo = build_plan(validate_config(json.loads((configs / f"{stem}.json").read_text())), configs).plan
+    for policy in POLICIES:
+        plan = replace(demo, policy=policy)
+        report, timeline = run(plan), validate_plan(plan)
+        with monkeypatch.context() as patched:
+            patched.setattr(fedsim.orchestrator, "validate_plan", lambda _: timeline)
+            blind = run(replace(plan, policy=_Unreadable()))
+        assert blind.audit_log == report.audit_log
+        assert blind.final_params.values.tobytes() == report.final_params.values.tobytes()
 
 
 def test_excluded_late_update_is_never_trained(monkeypatch):

@@ -9,6 +9,7 @@ import math
 import os
 import re
 import tempfile
+import warnings
 from contextlib import contextmanager, redirect_stderr
 from dataclasses import replace
 from pathlib import Path
@@ -20,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim.orchestrator as orch
-from fedsim.cli import main
+from fedsim.cli import _compiled_policy, main
 from fedsim.config import _holdout_split
 from fedsim.metrics import evaluate, loss_accuracy
 from fedsim.models import Dataset, ModelSpec, ParameterSet, TrainConfig, _distinct
@@ -131,22 +132,35 @@ def _rounds_and_updates(plan):
     return rounds, seen[: len(rounds)], audit
 
 
+# The action each delay phase resolves to, per (delay policy, delay_resume_same_round).
+PHASE_ACTIONS = {
+    ("use-stale-accept-any", True): {"start": "hold", "mid": "stale", "resume": "accept"},
+    ("use-stale-accept-any", False): {"start": "hold", "mid": "stale", "resume": "accept"},
+    ("exclude-until-current", True): {"start": "withhold", "mid": "absent", "resume": "retrain"},
+    ("exclude-until-current", False): {"start": "withhold", "mid": "absent", "resume": "discard"},
+}
+
+
 @TINY
 @given(plans())
 def test_timeline_phases_match_a_reference_scan(plan):
-    timeline = validate_plan(plan)
     ids = {c.client_id for c in plan.clients} | {ev.client_id for ev in plan.events}
-    expected = {
-        (cid, r): phase
-        for cid in ids
-        for r in range(1, plan.n_rounds + 1)
-        if (phase := delay_phase_reference(plan.events, cid, r)) is not None
-    }
-    assert timeline.phases == expected
-    for kind, by_round in (("join", timeline.joins), ("leave", timeline.leaves)):
-        for r in range(1, plan.n_rounds + 1):
-            script = [ev for ev in plan.events if ev.kind == kind and ev.round_index == r]
-            assert by_round.get(r, []) == script
+    leaves = any(ev.kind == "leave" for ev in plan.events)
+    for policy in POLICIES:
+        timeline = validate_plan(replace(plan, policy=policy))
+        actions = PHASE_ACTIONS[policy.delay, policy.delay_resume_same_round]
+        expected = {
+            (cid, r): actions[phase]
+            for cid in ids
+            for r in range(1, plan.n_rounds + 1)
+            if (phase := delay_phase_reference(plan.events, cid, r)) is not None
+        }
+        assert timeline.phases == expected
+        assert timeline.departure == (policy.departure if leaves else None)
+        for kind, by_round in (("join", timeline.joins), ("leave", timeline.leaves)):
+            for r in range(1, plan.n_rounds + 1):
+                script = [ev for ev in plan.events if ev.kind == kind and ev.round_index == r]
+                assert by_round.get(r, []) == script
 
 
 @TINY
@@ -290,57 +304,85 @@ def _trajectory(plan):
 @TINY
 @given(plans())
 def test_policies_that_agree_on_the_fields_their_events_read_share_one_trajectory(plan):
-    # A sweep runs one of each such group; this fails if ``run`` reads a field outside the rule.
+    # A sweep runs one of each group of policies its Timeline keys alike; this fails if two
+    # policies that compile alike follow different trajectories.
     groups = {}
     for policy in POLICIES:
         variant = replace(plan, policy=policy)
-        groups.setdefault(orch._policy_reads(variant), []).append(_trajectory(variant))
+        groups.setdefault(_compiled_policy(variant), []).append(_trajectory(variant))
     kinds = {ev.kind for ev in plan.events}
     assert len(groups) == (2 if "leave" in kinds else 1) * (3 if "delay" in kinds else 1)
     for trajectories in groups.values():
         assert all(t == trajectories[0] for t in trajectories)
 
 
+DELETE = object()  # an edit that deletes the key instead of setting it
+
+
 @st.composite
 def mutations(draw):
+    """A demo config and 1-3 edits of it, each a leaf set to a fuzz value or a key deleted."""
     stem = draw(st.sampled_from(sorted(DEMO_CONFIGS)))
-    path = draw(st.sampled_from(list(_leaf_paths(DEMO_CONFIGS[stem]))))
-    return stem, path, draw(st.sampled_from(FUZZ_VALUES))
+    paths, edits = list(_leaf_paths(DEMO_CONFIGS[stem])), []
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(paths))
+        if draw(st.booleans()):  # the leaf or one of its ancestors
+            edits.append((path[: draw(st.integers(1, len(path)))], DELETE))
+        else:
+            edits.append((path, draw(st.sampled_from(FUZZ_VALUES))))
+    return stem, edits
 
 
 def _partition(mode, **lists):
     return {"mode": mode, "seed": 33, **lists}
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=50)
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
 @given(mutations())
 # configs that once ended in a traceback or were silently accepted
-@example(("three_clients", ("model", "hidden_dim"), 4))
-@example(("three_clients", ("model", "kind"), "mlp-1hidden"))
-@example(("leave_join", ("events", 1, "data", "train_fraction"), 1.5))
-@example(("leave_join", ("events", 1, "data", "seed"), -1))
-@example(("three_clients", ("data", "partition"), _partition("explicit-counts", counts=[None, 9, 9])))
-@example(("three_clients", ("data", "partition"), _partition("explicit-counts", counts=[10.7, 9, 9])))
-@example(("three_clients", ("data", "partition"), _partition("explicit-counts", counts=[True, 9, 9])))
-@example(("three_clients", ("data", "partition"),
-          _partition("label-skew", positive_fractions=[None, 0.5, 0.5])))
-@example(("three_clients", ("data", "source", "class_means", 0, 1), {}))
-@example(("three_clients", ("train", "learning_rate"), math.inf))
-@example(("three_clients", ("noise",), {"amplitude": math.inf}))
-@example(("three_clients", ("noise",), {"amplitude": 1.7e308}))
-@example(("three_clients", ("clients", 0, "epoch_time_s"), math.inf))
+@example(("three_clients", [(("model", "hidden_dim"), 4)]))
+@example(("three_clients", [(("model", "kind"), "mlp-1hidden")]))
+@example(("leave_join", [(("events", 1, "data", "train_fraction"), 1.5)]))
+@example(("leave_join", [(("events", 1, "data", "seed"), -1)]))
+@example(("three_clients", [(("data", "partition"), _partition("explicit-counts", counts=[None, 9, 9]))]))
+@example(("three_clients", [(("data", "partition"), _partition("explicit-counts", counts=[10.7, 9, 9]))]))
+@example(("three_clients", [(("data", "partition"), _partition("explicit-counts", counts=[True, 9, 9]))]))
+@example(("three_clients", [(("data", "partition"),
+                             _partition("label-skew", positive_fractions=[None, 0.5, 0.5]))]))
+@example(("three_clients", [(("data", "source", "class_means", 0, 1), {})]))
+@example(("three_clients", [(("train", "learning_rate"), math.inf)]))
+@example(("three_clients", [(("noise",), {"amplitude": math.inf})]))
+@example(("three_clients", [(("noise",), {"amplitude": 1.7e308})]))
+@example(("three_clients", [(("clients", 0, "epoch_time_s"), math.inf)]))
 def test_mutated_demo_config_ends_in_a_documented_exit_code(mutation):
-    stem, path, value = mutation
-    assert _main_on(_mutated(DEMO_CONFIGS[stem], path, value), ["run"]) in (0, 2, 3, 4, 5)
+    stem, edits = mutation
+    cfg = _mutated(DEMO_CONFIGS[stem], edits)
+    for command, codes in (("validate", (0, 2, 3)), ("run", (0, 2, 3, 4, 5))):
+        err = io.StringIO()
+        with warnings.catch_warnings(), redirect_stderr(err):
+            warnings.simplefilter("error")  # a warning would escape main as an exception
+            code = _main_on(cfg, [command])
+        assert code in codes
+        assert len(err.getvalue().splitlines()) == (code != 0)
+        assert "Traceback" not in err.getvalue()
 
 
-def _mutated(node, path, value):
-    """A copy of ``node`` with the leaf at ``path`` set to ``value``."""
+def _mutated(node, edits):
+    """A copy of ``node`` with each (path, value) edit applied in turn: the leaf at ``path``
+    set to ``value``, or the key deleted for ``DELETE``.  An edit whose path an earlier one
+    took away is skipped."""
     node = json.loads(json.dumps(node))
-    parent = node
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    for path, value in edits:
+        parent = node
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        except (KeyError, IndexError, TypeError):
+            continue
     return node
 
 
@@ -382,7 +424,7 @@ def sweeps(draw):
     for value in draw(st.lists(st.sampled_from(labels), unique=True)):
         path = draw(st.sampled_from(list(_leaf_paths(cfg))))
         leaf = draw(st.sampled_from(FUZZ_VALUES) | SWEEP_INTEGERS)
-        table[value] = {path[0]: _mutated(cfg, path, leaf)[path[0]]}
+        table[value] = {path[0]: _mutated(cfg, [(path, leaf)])[path[0]]}
     cfg["sweeps"] = {variable: table}
     return cfg, variable, ",".join(labels)
 
