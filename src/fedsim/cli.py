@@ -8,6 +8,7 @@ events.log.  The output directory resolves in the order --out flag, config
 output_dir, FEDSIM_OUT environment variable, and must lie under a writable
 directory; an output file that cannot be written there is a validation error.
 --seed and --format are edits to the config before its one validation.
+``validate`` prints the times it derives, and each client's, as floats.
 
 A sweep validates the base config without building it, then validates and
 builds every value's config, once, before the first value runs: the base
@@ -15,8 +16,9 @@ deep-merged with its ``sweeps.<variable>.<value>`` override (``--values``
 and the override keys are read alike, by ``config.sweep_value``) and then
 with the variable's own edit, which wins.  A value's errors are prefixed
 ``<variable>=<value>: ``.  Values run in order, each trajectory once: values
-that differ only in policy and whose compiled Timelines agree share one run,
-and each later one writes that run's outputs with its own config echo.
+that differ only in policy and whose Timelines, as each value's build
+compiled them, agree share one run, and each later one writes that run's
+outputs with its own config echo.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .orchestrator import (
     run,
     static_sim_time,
     sweep_seed,
-    validate_plan,
 )
 from .report import (
     centralized_comparison,
@@ -212,12 +213,6 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
     return {"seed": seed, "clients": [{"id": i + 1, "epoch_time_s": t} for i in range(value)]}
 
 
-def _compiled_policy(plan) -> tuple:
-    """The part of the plan's Timeline its policy decides: delay-window actions and departure."""
-    timeline = validate_plan(plan)
-    return tuple(timeline.phases.items()), timeline.departure
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = _edited_config(args)
     overrides = base.pop("sweeps", {}).get(args.variable, {})
@@ -231,10 +226,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cfg = deep_merge(base, overrides.get(str(value), {}))  # validate_config keyed them so
             edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
             built.append(build_plan(validate_config(deep_merge(cfg, edit)), Path(args.config).parent))
-        # One run per trajectory, keyed by the config but its policy and the policy as its
-        # Timeline compiles it; a run is kept only while a later value shares its key.
-        keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True), _compiled_policy(rc.plan))
-                for rc in built]
+        # One run per trajectory, keyed by the config but its policy and the policy as the build
+        # compiled it into the Timeline; a run is kept only while a later value shares its key.
+        keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True),
+                 tuple(rc.timeline.phases.items()), rc.timeline.departure) for rc in built]
         shared = {}
         for i, (value, rc, key) in enumerate(zip(values, built, keys)):  # all built and checked
             name = f"{args.variable}={value}"

@@ -27,8 +27,9 @@ An absent optional key takes its owner's field default, except in
 ``model``, whose echo keeps only the keys written.  ``build_plan`` takes
 what ``validate_config`` returned, materializes datasets, cuts client
 shards, checks the SimPlan with ``validate_plan`` and returns it with the
-config it came from.  That resolved config is echoed into summary.json,
-and feeding the echo back through this module reproduces the same plan.
+Timeline that check compiled and the config it came from.  That resolved
+config is echoed into summary.json, and feeding the echo back through this
+module reproduces the same plan.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .orchestrator import (
     NoiseConfig,
     PolicyConfig,
     SimPlan,
+    Timeline,
     validate_plan,
 )
 from .partition import (
@@ -92,9 +94,10 @@ def sweep_value(variable: str, text: str, where: str) -> int | str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A checked plan and the config it was built from."""
+    """A checked plan, the Timeline its check compiled, and the config it was built from."""
 
     plan: SimPlan
+    timeline: Timeline  # what validate_plan(plan) returned
     echo: dict  # resolved config, defaults filled in
 
 
@@ -384,8 +387,8 @@ def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset
 
 
 def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
-    """Materialize datasets and assemble the SimPlan a config describes, checked
-    by ``validate_plan``; ``cfg`` is what ``validate_config`` returned."""
+    """Materialize datasets and assemble the SimPlan a config describes, checked and
+    compiled by ``validate_plan``; ``cfg`` is what ``validate_config`` returned."""
     values = _domain_values(cfg)
     base_dir = Path(base_dir)
 
@@ -430,8 +433,7 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
         aggregator=cfg["aggregator"],
         noise=values["noise"],
     )
-    validate_plan(plan)
-    return RunConfig(plan=plan, echo=cfg)
+    return RunConfig(plan=plan, timeline=validate_plan(plan), echo=cfg)
 
 
 def deep_merge(base: dict, override: dict) -> dict:

@@ -48,7 +48,7 @@ round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -159,7 +159,7 @@ class NoiseConfig:
     placement: str = "client"
 
     def __post_init__(self) -> None:
-        noise_amplitude(self.amplitude)
+        object.__setattr__(self, "amplitude", noise_amplitude(self.amplitude))
         choice(self.placement, "placement", NOISE_PLACEMENTS)
 
 
@@ -173,7 +173,7 @@ class ClientSetup:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "client_id", integer(self.client_id, "client_id"))
-        positive(self.epoch_time_s, "epoch_time_s")
+        object.__setattr__(self, "epoch_time_s", positive(self.epoch_time_s, "epoch_time_s"))
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ class IntermittencyEvent:
         if self.kind == JOIN:
             if self.shard is None or self.epoch_time_s is None:
                 raise ValueError("a join event needs a shard and an epoch_time_s")
-            positive(self.epoch_time_s, "epoch_time_s")
+            object.__setattr__(self, "epoch_time_s", positive(self.epoch_time_s, "epoch_time_s"))
         else:
             if self.shard is not None or self.epoch_time_s is not None:
                 raise ValueError(f"a {self.kind} event takes no shard or epoch_time_s")
@@ -422,10 +422,9 @@ def validate_plan(plan: SimPlan) -> Timeline:
 def run(plan: SimPlan) -> RunReport:
     """Simulate the full round schedule; see the module docstring for semantics."""
     timeline = validate_plan(plan)
-    states: dict[int, ClientState] = {
-        c.client_id: ClientState(c.client_id, c.shard, float(c.epoch_time_s))
-        for c in plan.clients
-    }
+    # Plain ints for the Integrals just checked: a narrow numpy seed would overflow in seeding.
+    plan = replace(plan, seed=int(plan.seed), n_rounds=int(plan.n_rounds))
+    states = {c.client_id: ClientState(c.client_id, c.shard, c.epoch_time_s) for c in plan.clients}
     held_back: dict[int, Update] = {}
     audit: list[str] = []
     records: list[RoundRecord] = []
@@ -482,7 +481,7 @@ def run(plan: SimPlan) -> RunReport:
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, plan.n_rounds + 1):
             for ev in timeline.joins.get(r, ()):
-                states[ev.client_id] = ClientState(ev.client_id, ev.shard, float(ev.epoch_time_s))
+                states[ev.client_id] = ClientState(ev.client_id, ev.shard, ev.epoch_time_s)
                 audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}")
 
             participants: list[Participation] = []

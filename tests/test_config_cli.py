@@ -696,6 +696,15 @@ def test_cli_validate_prints_derived_quantities(tmp_path, capsys):
     assert "centralized_time_s: 1386.0" in text
 
 
+def test_cli_validate_prints_integer_epoch_times_as_floats(tmp_path, capsys):
+    # run writes 200.0; validate once printed the config's integers: 200 and 20.
+    cfg = {**_base_cfg(), "rounds": 10, "clients": [{"id": 0, "epoch_time_s": 20}]}
+    assert main(["validate", "--config", _write(tmp_path, cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "static_sim_time_s: 200.0" in lines
+    assert lines[-1].endswith(" epoch_time_s=20.0")
+
+
 def test_cli_validate_rejects_bad_event_script(tmp_path):
     cfg = _base_cfg()
     cfg["events"] = [
@@ -873,6 +882,16 @@ def test_cli_sweep_runs_a_repeated_policy_once_in_first_given_order(tmp_path, ca
         assert [r["value"] for r in csv.DictReader(fh)] == [a, b]
 
 
+def _files(root):
+    """Every file under ``root``, by relative path, as bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _distinct_timelines(plan):
+    """The plan's Timeline with a departure no two policies share, so a sweep runs every value."""
+    return replace(fedsim.orchestrator.validate_plan(plan), departure=plan.policy)
+
+
 POLICY_VALUES = ("drop-history+use-stale-accept-any", "drop-history+exclude-until-current",
                  "retain-last+use-stale-accept-any", "retain-last+exclude-until-current")
 DELAY_EVENT = {"round": 1, "kind": "delay", "client": 0, "resume_round": 2}
@@ -899,17 +918,38 @@ def test_cli_policy_sweep_runs_each_trajectory_once_and_writes_every_value(
     monkeypatch.setattr(fedsim.cli, "run", counting_run)
     assert main(argv + ["--out", str(tmp_path / "shared")]) == 0
     assert planned == [POLICY_VALUES[i] for i in ran]
-    monkeypatch.setattr(fedsim.cli, "_compiled_policy", lambda plan: plan.policy)  # a run per value
+    monkeypatch.setattr(fedsim.config, "validate_plan", _distinct_timelines)  # a run per value
     assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
     assert planned[len(ran):] == list(POLICY_VALUES)
-    shared, alone = ({p.relative_to(tmp_path / d): p.read_bytes()
-                      for p in (tmp_path / d).rglob("*") if p.is_file()} for d in ("shared", "alone"))
+    shared, alone = _files(tmp_path / "shared"), _files(tmp_path / "alone")
     assert shared == alone  # the same files, byte for byte
     for value in POLICY_VALUES:
         summary = json.loads(shared[Path("sweep_policy", f"policy={value}", "summary.json")])
         departure, delay = value.split("+")
         assert summary["config"]["policy"] == {
             "departure": departure, "delay": delay, "delay_resume_same_round": True}
+
+
+def test_cli_policy_sweep_keys_on_the_timelines_its_builds_compiled(tmp_path, monkeypatch):
+    # The sweep once compiled every value's Timeline again for its key: 10 calls, not 6.
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "delayed_update.json"
+    argv = ["sweep", "--config", str(demo), "--variable", "policy", "--values", ",".join(POLICY_VALUES)]
+    original, calls = fedsim.orchestrator.validate_plan, []
+
+    def counting(plan):
+        calls.append(plan)
+        return original(plan)
+
+    with monkeypatch.context() as patched:  # every module that bound the name at import
+        for module in (fedsim, fedsim.config, fedsim.orchestrator, fedsim.cli):
+            if getattr(module, "validate_plan", None) is original:
+                patched.setattr(module, "validate_plan", counting)
+        assert main(argv + ["--out", str(tmp_path / "shared")]) == 0
+    assert len(calls) == 4 + 2  # each value's build, then one run per delay policy
+    monkeypatch.setattr(fedsim.config, "validate_plan", _distinct_timelines)  # a run per value
+    assert main(argv + ["--out", str(tmp_path / "alone")]) == 0
+    shared, alone = _files(tmp_path / "shared"), _files(tmp_path / "alone")
+    assert shared == alone
 
 
 def test_cli_sweep_builds_one_plan_per_value_and_never_the_base(tmp_path, monkeypatch):

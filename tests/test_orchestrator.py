@@ -451,9 +451,11 @@ def test_positive_number_fields_must_be_finite():
     for bad in ("False", 0, None):  # "False" once resumed in the same round
         with pytest.raises(TypeError, match="delay_resume_same_round must be a bool"):
             PolicyConfig(delay_resume_same_round=bad)
-    # float fields are stored as given, so `fedsim validate` prints a config's 1 as 1
-    assert repr(ClientSetup(9, shard, 1).epoch_time_s) == "1"
-    assert repr(IntermittencyEvent.join(2, 9, shard, 1).epoch_time_s) == "1"
+    # float fields hold the float their rule returns, so `fedsim validate` prints a config's 1
+    # as 1.0, as run writes it, and run converts nothing
+    assert repr(ClientSetup(9, shard, 1).epoch_time_s) == "1.0"
+    assert repr(IntermittencyEvent.join(2, 9, shard, 1).epoch_time_s) == "1.0"
+    assert repr(NoiseConfig(np.float32(0.5)).amplitude) == "0.5"
 
 
 def test_validate_plan_rejects_bad_scripts():

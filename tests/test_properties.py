@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fedsim.orchestrator as orch
-from fedsim.cli import _compiled_policy, main
+from fedsim.cli import main
 from fedsim.config import _holdout_split
 from fedsim.metrics import evaluate, loss_accuracy
 from fedsim.models import Dataset, ModelSpec, ParameterSet, TrainConfig, _distinct
@@ -46,7 +46,12 @@ from fedsim.partition import (
     make_synthetic,
     partition,
 )
-from fedsim.report import write_events_log, write_rounds_csv
+from fedsim.report import (
+    write_events_log,
+    write_partial_outputs,
+    write_rounds_csv,
+    write_run_outputs,
+)
 
 from _oracles import ReferenceAborted, delay_phase_reference, run_reference
 
@@ -304,16 +309,68 @@ def _trajectory(plan):
 @TINY
 @given(plans())
 def test_policies_that_agree_on_the_fields_their_events_read_share_one_trajectory(plan):
-    # A sweep runs one of each group of policies its Timeline keys alike; this fails if two
-    # policies that compile alike follow different trajectories.
+    # A sweep runs one of each group of policies whose Timelines agree on phases and departure;
+    # this fails if two policies that compile alike follow different trajectories.
     groups = {}
     for policy in POLICIES:
         variant = replace(plan, policy=policy)
-        groups.setdefault(_compiled_policy(variant), []).append(_trajectory(variant))
+        timeline = validate_plan(variant)
+        key = tuple(timeline.phases.items()), timeline.departure
+        groups.setdefault(key, []).append(_trajectory(variant))
     kinds = {ev.kind for ev in plan.events}
     assert len(groups) == (2 if "leave" in kinds else 1) * (3 if "delay" in kinds else 1)
     for trajectories in groups.values():
         assert all(t == trajectories[0] for t in trajectories)
+
+
+INT_TYPES = (np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64)
+FLOAT_TYPES = (np.float16, np.float32, np.float64)
+
+
+def _with_numbers(plan, num):
+    """``plan``, its ROC rounds and a centralized epoch time, with ``num`` applied to every
+    number: seed, rounds, ids, epoch times, train fields and noise amplitude."""
+    def opt(x):
+        return None if x is None else num(x)
+
+    train = plan.train
+    clients = [ClientSetup(num(c.client_id), c.shard, num(c.epoch_time_s)) for c in plan.clients]
+    events = [IntermittencyEvent(num(ev.round_index), ev.kind, num(ev.client_id), ev.shard,
+                                 opt(ev.epoch_time_s), opt(ev.resume_round)) for ev in plan.events]
+    noise = plan.noise and NoiseConfig(num(plan.noise.amplitude), plan.noise.placement)
+    numbered = replace(
+        plan, seed=num(plan.seed), n_rounds=num(plan.n_rounds), clients=clients, events=events,
+        train=TrainConfig(num(train.epochs), num(train.batch_size), num(train.learning_rate),
+                          num(train.seed)), noise=noise)
+    return numbered, (num(1), num(plan.n_rounds)), num(138.6)
+
+
+def _outputs(plan, roc_rounds, centralized_epoch_time_s):
+    """The files ``run`` and ``write_run_outputs`` write, or what an abort writes, as bytes."""
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            paths = write_run_outputs(run(plan), out, roc_rounds=roc_rounds,
+                                      centralized_epoch_time_s=centralized_epoch_time_s)
+        except RunAborted as exc:
+            paths = write_partial_outputs(exc.completed, exc.audit_log, out)
+        return {Path(p).name: Path(p).read_bytes() for p in paths}
+
+
+@TINY
+@given(plans(), st.data())
+def test_numpy_scalars_in_a_plan_write_the_bytes_python_numbers_do(plan, data):
+    # A numpy seed once reached summary.json unconverted, where json.dumps refused it, and an
+    # int8 one overflowed in run's batch seeding.
+    scalars = []
+
+    def numpy(x):  # x as a numpy scalar of a drawn dtype that holds it
+        types = FLOAT_TYPES if isinstance(x, float) else [t for t in INT_TYPES if np.iinfo(t).max >= x]
+        scalars.append(data.draw(st.sampled_from(types))(x))
+        return scalars[-1]
+
+    numpy_typed = _with_numbers(plan, numpy)
+    python = iter([x.item() for x in scalars])  # the same numbers, in the order num met them
+    assert _outputs(*numpy_typed) == _outputs(*_with_numbers(plan, lambda _: next(python)))
 
 
 DELETE = object()  # an edit that deletes the key instead of setting it
