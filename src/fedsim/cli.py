@@ -28,7 +28,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import (
@@ -43,6 +42,7 @@ from .config import (
     sweep_value,
     validate_clients,
     validate_config,
+    validate_data,
 )
 from .orchestrator import (
     PlanValidationError,
@@ -128,24 +128,16 @@ def _written(write, *args, **kwargs):
 
 
 def _run_and_write(rc: RunConfig, out_dir: Path, report: RunReport | None = None) -> RunReport:
-    """Run the plan, unless ``report`` is a run of a plan with the same trajectory, and write
-    the outputs as ``rc``'s.  An aborted run writes only its completed rounds and re-raises."""
+    """Run the plan, unless ``report`` ran a plan of the same trajectory, and write the outputs
+    with ``rc``'s ROC rounds and echo, which sets the formats and the centralized epoch time.
+    An aborted run writes only its completed rounds and re-raises."""
     if report is None:
         try:
             report = run(rc.plan)
         except RunAborted as exc:
             _written(write_partial_outputs, exc.completed, exc.audit_log, out_dir)
             raise
-    report = replace(report, plan=rc.plan)
-    _written(
-        write_run_outputs,
-        report,
-        out_dir,
-        formats=rc.echo["report_formats"],
-        roc_rounds=rc.echo["roc_rounds"],
-        config_echo=rc.echo,
-        centralized_epoch_time_s=rc.echo.get("centralized_epoch_time_s"),
-    )
+    _written(write_run_outputs, report, out_dir, rc.echo["roc_rounds"], rc.echo)
     return report
 
 
@@ -168,10 +160,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     print(f"clients: {len(plan.clients)}")
     print(f"parameter_count: {plan.model.param_count}")
     print(f"rounds: {plan.n_rounds} epochs_per_round: {plan.train.epochs}")
-    times = [c.epoch_time_s for c in plan.clients]
-    static = static_sim_time(plan.n_rounds, plan.train.epochs, times)
+    static = static_sim_time(plan.n_rounds, plan.train.epochs, [c.epoch_time_s for c in plan.clients])
     print(f"static_sim_time_s: {static!r}")
-    baseline = centralized_comparison(plan, rc.echo.get("centralized_epoch_time_s"), static)
+    baseline = centralized_comparison(plan, rc.echo, static)
     if baseline:
         print(f"centralized_time_s: {baseline['centralized_time_s']!r}")
     for c in plan.clients:
@@ -199,7 +190,7 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
         return {"policy": {"departure": departure, "delay": delay}}
     if variable == "N_r":
         return {"rounds": value, "seed": seed}
-    clients = cfg["clients"]
+    clients, data = cfg["clients"], cfg["data"]
     validate_clients(clients)
     if len(clients) == value:
         return {"seed": seed}
@@ -209,6 +200,16 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
             "add a sweeps override, or give every base client the same "
             "epoch_time_s so the list can be resized automatically"
         )
+    # Refuse a count the data cannot serve before a list that long is built.
+    validate_data(data)
+    part, source = data["partition"], data["source"]
+    for key in ("counts", "positive_fractions"):
+        if key in part and len(part[key]) != value:
+            raise ConfigValidationError(f"data.partition.{key}: lists {len(part[key])} clients")
+    rows = sum(source["n_per_class"]) if source["type"] == "synthetic" else value
+    if value > rows:
+        raise ConfigValidationError(
+            f"data.source.n_per_class: {rows} rows cannot serve {value} clients")
     t = times.pop()
     return {"seed": seed, "clients": [{"id": i + 1, "epoch_time_s": t} for i in range(value)]}
 
@@ -237,8 +238,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if key in keys[i + 1:]:
                 shared[key] = report
             s = report.summary
-            epoch_time_s = rc.echo.get("centralized_epoch_time_s")
-            baseline = centralized_comparison(rc.plan, epoch_time_s, s.total_sim_time_s)
+            baseline = centralized_comparison(rc.plan, rc.echo, s.total_sim_time_s)
             runs.append((str(value), s, baseline))
             print(f"{name}: sim_time_s={s.total_sim_time_s!r}")
     except (ConfigParseError, ConfigValidationError, PlanValidationError, RunAborted) as exc:

@@ -37,6 +37,7 @@ from __future__ import annotations
 import copy
 import csv
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -53,6 +54,7 @@ from .orchestrator import (
     PolicyConfig,
     SimPlan,
     Timeline,
+    clock_bound,
     validate_plan,
 )
 from .partition import (
@@ -65,6 +67,7 @@ from .partition import (
     relabel_shard,
     synthetic_source,
 )
+from .report import centralized_comparison
 from .rules import choice, integer, positive
 from .seeding import rng_from
 
@@ -262,6 +265,18 @@ def validate_clients(clients: Any) -> None:
         seen_ids.add(cl["id"])
 
 
+def validate_data(data: Any) -> None:
+    """The ``data`` rules: its sources, and the partition's keys and list items."""
+    _require(data, "data", {"source": dict, "global_test": dict, "partition": dict})
+    _validate_source(data["source"], "data.source")
+    _validate_source(data["global_test"], "data.global_test", allow_holdout=True)
+    part = data["partition"]
+    _require(part, "data.partition", {"mode": str, "seed": int},
+             {"counts": list, "positive_fractions": list, "train_fraction": float}, PartitionPlan)
+    _check_items(part.get("counts", []), int, "data.partition.counts")
+    _check_items(part.get("positive_fractions", []), float, "data.partition.positive_fractions")
+
+
 def validate_config(raw: dict) -> dict:
     """Full schema walk; returns the config with defaults filled in."""
     _require(
@@ -305,16 +320,7 @@ def validate_config(raw: dict) -> dict:
     if cfg.setdefault("noise", None) is not None:
         _require(cfg["noise"], "noise", {"amplitude": float}, {"placement": str}, NoiseConfig)
 
-    data = cfg["data"]
-    _require(data, "data", {"source": dict, "global_test": dict, "partition": dict})
-    _validate_source(data["source"], "data.source")
-    _validate_source(data["global_test"], "data.global_test", allow_holdout=True)
-    part = data["partition"]
-    _require(part, "data.partition", {"mode": str, "seed": int},
-             {"counts": list, "positive_fractions": list, "train_fraction": float}, PartitionPlan)
-    _check_items(part.get("counts", []), int, "data.partition.counts")
-    _check_items(part.get("positive_fractions", []), float, "data.partition.positive_fractions")
-
+    validate_data(cfg["data"])
     validate_clients(cfg["clients"])
 
     events = cfg.setdefault("events", [])
@@ -433,7 +439,11 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
         aggregator=cfg["aggregator"],
         noise=values["noise"],
     )
-    return RunConfig(plan=plan, timeline=validate_plan(plan), echo=cfg)
+    timeline = validate_plan(plan)
+    # A shorter run's saving lies between the longest clock's and 100%, so this one check holds.
+    if not all(map(math.isfinite, centralized_comparison(plan, cfg, clock_bound(plan)).values())):
+        raise ConfigValidationError("centralized_epoch_time_s: its time or saving exceeds a float")
+    return RunConfig(plan=plan, timeline=timeline, echo=cfg)
 
 
 def deep_merge(base: dict, override: dict) -> dict:

@@ -300,6 +300,16 @@ def static_sim_time(n_rounds: int, n_epochs: int, epoch_times: Sequence[float]) 
     return n_rounds * (n_epochs * max(epoch_times))
 
 
+def clock_bound(plan: SimPlan) -> float:
+    """The longest clock ``plan`` can run, every round at its slowest initial or joining client;
+    inf if that does not fit in a float.  Each round's cost and the total stay within it."""
+    times = [x.epoch_time_s for x in (*plan.clients, *plan.events) if x.epoch_time_s is not None]
+    try:
+        return static_sim_time(int(plan.n_rounds), int(plan.train.epochs), times or [0.0])
+    except OverflowError:  # a round or epoch count past a float's range
+        return math.inf
+
+
 def simulated_time(n_epochs: int, per_round_fresh_times: Sequence[Sequence[float]]) -> float:
     """Total simulated seconds: per round, epochs x the slowest fresh trainer.
 
@@ -414,6 +424,8 @@ def validate_plan(plan: SimPlan) -> Timeline:
             np.empty(plan.model.param_count)
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
             errors.append(f"model: {exc}")
+    if not math.isfinite(clock_bound(plan)):
+        errors.append("simulated clock: rounds x epochs x slowest epoch_time_s exceeds a float")
     if errors:
         raise PlanValidationError("; ".join(errors))
     return Timeline(joins, leaves, phases, plan.policy.departure if leaves else None)

@@ -64,12 +64,8 @@ def write_events_log(audit_log: list[str], path: Path) -> None:
             fh.write(line + "\n")
 
 
-def write_summary_json(
-    report: RunReport,
-    path: Path,
-    config_echo: dict | None = None,
-    centralized_epoch_time_s: float | None = None,
-) -> None:
+def write_summary_json(report: RunReport, path: Path, config_echo: dict | None = None) -> None:
+    """The run's summary.json; with an echo, also the echo and its centralized comparison."""
     s = report.summary
     payload: dict = {
         "seed": report.plan.seed,
@@ -86,34 +82,25 @@ def write_summary_json(
             "loss": s.client_avg_best_loss,
             "accuracy": s.client_avg_best_accuracy,
         },
-        **centralized_comparison(report.plan, centralized_epoch_time_s, s.total_sim_time_s),
+        **centralized_comparison(report.plan, config_echo, s.total_sim_time_s),
     }
     if config_echo is not None:
         payload["config"] = config_echo
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def centralized_time(plan: SimPlan, epoch_time_s: float) -> float:
-    """Single-machine baseline: same round/epoch schedule, one worker."""
-    return static_sim_time(plan.n_rounds, plan.train.epochs, [float(epoch_time_s)])
-
-
-def time_reduction_pct(sim_time_s: float, centralized_time_s: float) -> float:
-    """Percentage of the centralized wall clock saved by federating."""
-    return 100.0 * (1.0 - sim_time_s / centralized_time_s)
-
-
-def centralized_comparison(
-    plan: SimPlan, epoch_time_s: float | None, sim_time_s: float
-) -> dict[str, float]:
-    """``centralized_time_s`` and the ``time_reduction_pct`` of ``sim_time_s``
-    against it; empty when the config sets no centralized epoch time."""
+def centralized_comparison(plan: SimPlan, config_echo: dict | None,
+                           sim_time_s: float) -> dict[str, float]:
+    """``centralized_time_s``, one worker at the echo's ``centralized_epoch_time_s`` over the
+    plan's rounds and epochs, and the ``time_reduction_pct`` of ``sim_time_s`` against it;
+    empty when the echo sets no centralized epoch time."""
+    epoch_time_s = (config_echo or {}).get("centralized_epoch_time_s")
     if epoch_time_s is None:
         return {}
-    centralized = centralized_time(plan, epoch_time_s)
+    centralized = static_sim_time(plan.n_rounds, plan.train.epochs, [float(epoch_time_s)])
     return {
         "centralized_time_s": centralized,
-        "time_reduction_pct": time_reduction_pct(sim_time_s, centralized),
+        "time_reduction_pct": 100.0 * (1.0 - sim_time_s / centralized),
     }
 
 
@@ -124,7 +111,7 @@ def write_roc_csvs(report: RunReport, rounds: tuple[int, ...], out_dir: Path) ->
     for r in rounds:
         rec = by_index.get(r)
         if rec is None:
-            continue  # starved runs may not have reached this round
+            continue  # a library caller may list rounds past the run's end
         path = out_dir / f"roc_round{r}.csv"
         rec.global_metrics.roc.to_csv(path)
         paths.append(path)
@@ -142,27 +129,17 @@ def _write_trail(out: Path, records: list[RoundRecord] | None, audit_log: list[s
     return [*written, out / "events.log"]
 
 
-def write_run_outputs(
-    report: RunReport,
-    out_dir: str | Path,
-    formats: tuple[str, ...] = ("csv", "json"),
-    roc_rounds: tuple[int, ...] = (),
-    config_echo: dict | None = None,
-    centralized_epoch_time_s: float | None = None,
-) -> list[Path]:
-    """Write the run artifacts and return the paths created: events.log,
-    rounds.csv and the ROC curves for "csv", summary.json for "json"."""
+def write_run_outputs(report: RunReport, out_dir: str | Path, roc_rounds: tuple[int, ...] = (),
+                      config_echo: dict | None = None) -> list[Path]:
+    """Write the run artifacts in the echo's ``report_formats`` (both without an echo), returning
+    the paths: events.log, rounds.csv and the ROC curves for "csv", summary.json for "json"."""
+    formats = ("csv", "json") if config_echo is None else config_echo["report_formats"]
     out = Path(out_dir)
     written = _write_trail(out, report.rounds if "csv" in formats else None, report.audit_log)
     if "csv" in formats:
         written.extend(write_roc_csvs(report, tuple(roc_rounds), out))
     if "json" in formats:
-        write_summary_json(
-            report,
-            out / "summary.json",
-            config_echo=config_echo,
-            centralized_epoch_time_s=centralized_epoch_time_s,
-        )
+        write_summary_json(report, out / "summary.json", config_echo)
         written.append(out / "summary.json")
     return written
 

@@ -605,6 +605,17 @@ def _model_with_hidden_dim(hidden_dim):
     return {**_base_cfg(), "model": {"kind": "mlp-1hidden", "input_dim": 2, "hidden_dim": hidden_dim}}
 
 
+def _clock_edit(rounds=3, epochs=1, **edits):
+    # Each case's clock or centralized comparison does not fit in a float (3 rounds of 2 s and 3 s
+    # clients cost 9 s).
+    cfg = _base_cfg()
+    cfg.update(rounds=rounds, **edits)
+    cfg["train"]["epochs"] = epochs
+    if "centralized_epoch_time_s" not in edits:
+        cfg["clients"][0]["epoch_time_s"] = 1e308
+    return cfg
+
+
 def _holdout_leaving_no_training_data():
     cfg = _base_cfg()
     cfg["data"]["source"]["n_per_class"] = [1, 1]
@@ -632,10 +643,19 @@ def _holdout_leaving_no_training_data():
     (_model_with_hidden_dim(10**13), 3, "validation error: model: Unable to allocate "),
     (_model_with_hidden_dim(10**19), 3,
      "validation error: model: Maximum allowed dimension exceeded\n"),
+    (_clock_edit(), 3, "validation error: simulated clock: "),
+    (_clock_edit(rounds=1, epochs=2), 3, "validation error: simulated clock: "),
+    ({**_base_cfg(), "rounds": 10**400}, 3, "validation error: simulated clock: "),
+    (_clock_edit(centralized_epoch_time_s=1e308), 3,
+     "validation error: centralized_epoch_time_s: "),
+    (_clock_edit(centralized_epoch_time_s=5e-324), 3,
+     "validation error: centralized_epoch_time_s: "),
 ], ids=["top-level-list", "unreadable-path", "event-not-object", "sweep-table-not-object",
         "holdout-leaves-no-training-data", "sweep-key-not-a-value", "sweep-keys-name-one-value",
         "source-too-large-to-allocate", "join-source-too-large-to-allocate",
-        "model-too-large-to-allocate", "model-past-numpys-largest-array"])
+        "model-too-large-to-allocate", "model-past-numpys-largest-array",
+        "clock-past-a-float", "one-round-clock-past-a-float", "rounds-past-a-float",
+        "centralized-time-past-a-float", "centralized-saving-past-a-float"])
 def test_cli_config_errors_end_in_their_exit_code(tmp_path, capsys, config, code, expected):
     if config is None:
         path = tmp_path / "config-dir"
@@ -790,6 +810,44 @@ def test_cli_sweep_client_count(tmp_path):
             (out / "sweep_client-count" / f"client-count={k}" / "summary.json").read_text()
         )
         assert len(payload["config"]["clients"]) == k
+
+
+@pytest.mark.parametrize("partition, expected", [
+    ({"mode": "random-uniform", "seed": 11}, "data.source.n_per_class: 80 rows cannot serve 81 clients"),
+    ({"mode": "explicit-counts", "counts": [9, 9], "seed": 11}, "data.partition.counts: lists 2 clients"),
+    ({"mode": "label-skew", "positive_fractions": [0.5, 0.5], "seed": 11},
+     "data.partition.positive_fractions: lists 2 clients"),
+], ids=["random-uniform", "explicit-counts", "label-skew"])
+def test_cli_sweep_refuses_a_client_count_its_data_cannot_serve(tmp_path, capsys, partition, expected):
+    cfg = _base_cfg()  # 80 source rows
+    cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}, {"id": 1, "epoch_time_s": 2.0}]
+    cfg["data"]["partition"] = partition
+    code = main(["sweep", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                 "--variable", "client-count", "--values", "81"])
+    assert code == 3
+    assert capsys.readouterr().err == f"validation error: client-count=81: {expected}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_sweep_refuses_a_huge_client_count_before_building_its_client_list(tmp_path):
+    # 10**8 client entries take gigabytes; a child process with a 1 GiB address space must
+    # refuse the value before it builds them.
+    cfg = _base_cfg()
+    cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}, {"id": 1, "epoch_time_s": 2.0}]
+    limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+               "from fedsim.cli import main; sys.exit(main())")
+    src = str(Path(fedsim.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", limited, "sweep", "--config", _write(tmp_path, cfg),
+         "--out", str(tmp_path / "o"), "--variable", "client-count", "--values", "100000000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "validation error: client-count=100000000: data.source.n_per_class: 80 rows cannot serve "
+        "100000000 clients"
+    ]
 
 
 def test_cli_sweep_client_count_needs_uniform_times(tmp_path):

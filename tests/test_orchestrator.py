@@ -687,7 +687,7 @@ def test_batched_seeds_follow_the_scalar_key_rules(monkeypatch, tmp_path, delay)
         monkeypatch.setattr(fedsim.orchestrator, "_BLOCK_KEYS", block_keys)
         scalar.append(block_keys < 5 * 2)
         out = tmp_path / str(block_keys)
-        write_run_outputs(run(plan), out, formats=("csv",))
+        write_run_outputs(run(plan), out, config_echo={"report_formats": ["csv"]})
         outputs.append([(out / name).read_bytes() for name in ("rounds.csv", "events.log")])
     assert outputs[0] == outputs[1] == outputs[2]
     assert len(trained) == 3 * len(set(trained)) > 45

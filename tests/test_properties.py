@@ -349,8 +349,10 @@ def _outputs(plan, roc_rounds, centralized_epoch_time_s):
     """The files ``run`` and ``write_run_outputs`` write, or what an abort writes, as bytes."""
     with tempfile.TemporaryDirectory() as out:
         try:
-            paths = write_run_outputs(run(plan), out, roc_rounds=roc_rounds,
-                                      centralized_epoch_time_s=centralized_epoch_time_s)
+            # The echo is JSON data, so it holds the centralized time as a Python float.
+            echo = {"report_formats": ["csv", "json"],
+                    "centralized_epoch_time_s": float(centralized_epoch_time_s)}
+            paths = write_run_outputs(run(plan), out, roc_rounds=roc_rounds, config_echo=echo)
         except RunAborted as exc:
             paths = write_partial_outputs(exc.completed, exc.audit_log, out)
         return {Path(p).name: Path(p).read_bytes() for p in paths}
@@ -411,6 +413,12 @@ def _partition(mode, **lists):
 @example(("three_clients", [(("noise",), {"amplitude": math.inf})]))
 @example(("three_clients", [(("noise",), {"amplitude": 1.7e308})]))
 @example(("three_clients", [(("clients", 0, "epoch_time_s"), math.inf)]))
+# clocks that do not fit in a float
+@example(("three_clients", [(("clients", 0, "epoch_time_s"), 1e308)]))
+@example(("three_clients", [(("clients", 0, "epoch_time_s"), 1e308), (("train", "epochs"), 2),
+                            (("rounds",), 1), (("roc_rounds",), DELETE)]))
+@example(("three_clients", [(("centralized_epoch_time_s",), 1e308)]))
+@example(("three_clients", [(("centralized_epoch_time_s",), 5e-324)]))
 def test_mutated_demo_config_ends_in_a_documented_exit_code(mutation):
     stem, edits = mutation
     cfg = _mutated(DEMO_CONFIGS[stem], edits)
@@ -443,13 +451,21 @@ def _mutated(node, edits):
     return node
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def _main_on(cfg, argv):
     """``fedsim <argv>`` on ``cfg`` written to a temporary file, writing
-    into a temporary directory; returns the exit code."""
+    into a temporary directory; returns the exit code.  Every summary.json
+    written must parse as strict JSON: no NaN, Infinity or -Infinity."""
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "cfg.json"
         config.write_text(json.dumps(cfg))
-        return main(argv + ["--config", str(config), "--out", str(Path(tmp) / "out")])
+        code = main(argv + ["--config", str(config), "--out", str(Path(tmp) / "out")])
+        for summary in Path(tmp).rglob("summary.json"):
+            json.loads(summary.read_text(), parse_constant=_refuse_constant)
+        return code
 
 
 POLICY_VALUES = [

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import fedsim.metrics
 import fedsim.report
@@ -9,8 +10,6 @@ from fedsim.partition import PartitionPlan, make_synthetic, partition
 from fedsim.report import (
     ROUNDS_CSV_HEADER,
     centralized_comparison,
-    centralized_time,
-    time_reduction_pct,
     write_partial_outputs,
     write_roc_csvs,
     write_run_outputs,
@@ -55,12 +54,8 @@ def test_rounds_csv_layout(tmp_path):
 
 def test_summary_json_contents(tmp_path):
     report = _report()
-    write_run_outputs(
-        report,
-        tmp_path,
-        config_echo={"seed": 77},
-        centralized_epoch_time_s=10.0,
-    )
+    echo = {"seed": 77, "report_formats": ["csv", "json"], "centralized_epoch_time_s": 10.0}
+    write_run_outputs(report, tmp_path, config_echo=echo)
     payload = json.loads((tmp_path / "summary.json").read_text())
     assert payload["seed"] == 77
     assert payload["rounds_completed"] == 3
@@ -69,16 +64,17 @@ def test_summary_json_contents(tmp_path):
     assert abs(payload["time_reduction_pct"] - 70.0) < 1e-12
     assert set(payload["final"]) == {"loss", "accuracy", "auc", "n"}
     assert payload["best"]["loss"]["round"] >= 1
-    assert payload["config"] == {"seed": 77}
+    assert payload["config"] == echo
     assert payload["client_best_avg"]["accuracy"] is not None
 
 
 def test_format_subset(tmp_path):
+    # The formats are the echo's report_formats.
     report = _report()
-    write_run_outputs(report, tmp_path / "csvonly", formats=("csv",))
+    write_run_outputs(report, tmp_path / "csvonly", config_echo={"report_formats": ["csv"]})
     assert (tmp_path / "csvonly" / "rounds.csv").exists()
     assert not (tmp_path / "csvonly" / "summary.json").exists()
-    write_run_outputs(report, tmp_path / "jsononly", formats=("json",))
+    write_run_outputs(report, tmp_path / "jsononly", config_echo={"report_formats": ["json"]})
     assert (tmp_path / "jsononly" / "summary.json").exists()
     assert not (tmp_path / "jsononly" / "rounds.csv").exists()
 
@@ -139,13 +135,20 @@ def test_partial_outputs(tmp_path):
 
 
 def test_time_reduction_fixtures():
+    report = _report()  # 3 rounds of 1 epoch
+    ten_rounds = replace(report.plan, n_rounds=10)
+
+    def pct(sim_time_s, plan=ten_rounds):
+        echo = {"centralized_epoch_time_s": 138.6}
+        return centralized_comparison(plan, echo, sim_time_s)["time_reduction_pct"]
+
     # federated 401 s and 110 s against a 1386 s single-machine baseline
-    assert round(time_reduction_pct(401.0, 1386.0), 2) == 71.07
-    assert round(time_reduction_pct(110.0, 1386.0), 2) == 92.06
-    report = _report()
-    assert centralized_time(report.plan, 138.6) == 3 * 138.6
+    assert round(pct(401.0), 2) == 71.07
+    assert round(pct(110.0), 2) == 92.06
+    assert pct(9.0, report.plan) == 100.0 * (1.0 - 9.0 / (3 * 138.6))
     assert centralized_comparison(report.plan, None, 9.0) == {}
-    assert centralized_comparison(report.plan, 10.0, 9.0) == {
+    assert centralized_comparison(report.plan, {"seed": 77}, 9.0) == {}
+    assert centralized_comparison(report.plan, {"centralized_epoch_time_s": 10}, 9.0) == {
         "centralized_time_s": 30.0,
-        "time_reduction_pct": time_reduction_pct(9.0, 30.0),
+        "time_reduction_pct": 100.0 * (1.0 - 9.0 / 30.0),
     }
