@@ -36,6 +36,7 @@ from .config import (
     ConfigParseError,
     ConfigValidationError,
     RunConfig,
+    _materialize_source,
     build_plan,
     deep_merge,
     load_config_file,
@@ -182,8 +183,8 @@ def _parse_sweep_values(variable: str, raw: str) -> list:
     return list(values) if variable == "policy" else sorted(values)
 
 
-def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
-    """The keys a swept value sets, given its merged config and derived seed
+def _sweep_edit(cfg: dict, variable: str, value, seed: int, base_dir: Path) -> dict:
+    """The keys a swept value sets, given its merged config, derived seed and config directory
     (a policy sweep keeps the config's seed, so trajectories stay comparable)."""
     if variable == "policy":
         departure, _, delay = value.partition("+")
@@ -206,10 +207,10 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int) -> dict:
     for key in ("counts", "positive_fractions"):
         if key in part and len(part[key]) != value:
             raise ConfigValidationError(f"data.partition.{key}: lists {len(part[key])} clients")
-    rows = sum(source["n_per_class"]) if source["type"] == "synthetic" else value
+    key = "n_per_class" if source["type"] == "synthetic" else "path"  # a CSV is read to count
+    rows = sum(source[key]) if key != "path" else _materialize_source(source, base_dir, "data.source").n
     if value > rows:
-        raise ConfigValidationError(
-            f"data.source.n_per_class: {rows} rows cannot serve {value} clients")
+        raise ConfigValidationError(f"data.source.{key}: {rows} rows cannot serve {value} clients")
     t = times.pop()
     return {"seed": seed, "clients": [{"id": i + 1, "epoch_time_s": t} for i in range(value)]}
 
@@ -220,13 +221,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _parse_sweep_values(args.variable, args.values)
     out_dir = _resolve_out(args, base)
     sweep_root = out_dir / f"sweep_{args.variable.replace('_', '-')}"
+    base_dir = Path(args.config).parent
     built, runs = [], []
     try:
         for index, value in enumerate(values):
             name = f"{args.variable}={value}"
             cfg = deep_merge(base, overrides.get(str(value), {}))  # validate_config keyed them so
-            edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index))
-            built.append(build_plan(validate_config(deep_merge(cfg, edit)), Path(args.config).parent))
+            edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index), base_dir)
+            built.append(build_plan(validate_config(deep_merge(cfg, edit)), base_dir))
         # One run per trajectory, keyed by the config but its policy and the policy as the build
         # compiled it into the Timeline; a run is kept only while a later value shares its key.
         keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True),

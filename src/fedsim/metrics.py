@@ -110,16 +110,16 @@ def _losses_accuracies(p: np.ndarray, labels: np.ndarray) -> tuple:
 _STACK_ROWS = 1024  # rows in a stack of equal-sized datasets scored in one call
 
 
-def _stacked_loss_accuracy(spec: ModelSpec, params: ParameterSet, datasets: list,
-                           max_rows: int = _STACK_ROWS) -> list[tuple[float, float]]:
+def _stacked_loss_accuracy(spec: ModelSpec, params: ParameterSet,
+                           datasets: list) -> list[tuple[float, float]]:
     """``loss_accuracy`` of each nonempty dataset of ``spec``'s width, unchecked, bit for bit,
-    with one kernel call per (c, m, d) stack of equal-sized datasets (up to ``max_rows`` rows, or
+    with one kernel call per (c, m, d) stack of equal-sized datasets (up to ``_STACK_ROWS`` rows, or
     one dataset as a view): matmul calls BLAS once per slice with one dataset's own arguments and
     the loss sums each slice alone (one matrix of all rows would not be bit-identical)."""
     out, order = {}, sorted(range(len(datasets)), key=lambda i: datasets[i].n)
     while order:  # the front of ``order`` holds the smallest datasets left
         n = datasets[order[0]].n
-        part = [i for i in order[: max(1, max_rows // n)] if datasets[i].n == n]
+        part = [i for i in order[: max(1, _STACK_ROWS // n)] if datasets[i].n == n]
         del order[: len(part)]
         sets = [datasets[i] for i in part]
         X = np.stack([d.features for d in sets]) if len(sets) > 1 else sets[0].features[None]

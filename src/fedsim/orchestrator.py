@@ -29,12 +29,12 @@ Event timing:
 
 ``validate_plan`` compiles the script and the policy into a ``Timeline``,
 the only form of the policy ``run`` reads, so plans whose Timelines agree
-follow one trajectory.  Local training that turns non-finite raises
-``DivergenceError``, which carries the completed rounds and the audit log,
-as ``PolicyStarvationError`` does; noise that turns the parameters
-non-finite raises a plain ``RunAborted`` that names the round and the noise
-placement.  Each ends the audit log with an ``abort`` line that gives the
-round and the reason.
+follow one trajectory; it records a delay window at rounds r and s only.
+Local training that turns non-finite raises ``DivergenceError``, which
+carries the completed rounds and the audit log, as ``PolicyStarvationError``
+does; noise that turns the parameters non-finite raises a plain
+``RunAborted`` that names the round and the noise placement.  Each ends the
+audit log with an ``abort`` line that gives the round and the reason.
 
 The clock charges each round ``epochs`` times the slowest client that
 trained fresh for that round's aggregation; clients whose updates are
@@ -54,7 +54,7 @@ from typing import Sequence
 import numpy as np
 
 from .aggregation import AggregateResult, Update, add_uniform_noise, plain_average, weighted_fedavg
-from .metrics import MetricSet, RunSummary, _stacked_loss_accuracy, evaluate, summarize
+from .metrics import _STACK_ROWS, MetricSet, RunSummary, _stacked_loss_accuracy, evaluate, summarize
 from .metrics import loss_accuracy  # noqa: F401  (only for bench/spans.py to patch)
 from .models import Dataset, ModelSpec, ParameterSet, TrainConfig, init_params, train_local
 from .partition import ClientShard
@@ -323,10 +323,10 @@ def simulated_time(n_epochs: int, per_round_fresh_times: Sequence[Sequence[float
 @dataclass(frozen=True)
 class Timeline:
     """The plan compiled by ``validate_plan``: each round's joins and leaves in the order they
-    apply, the departure policy if a client leaves (else None), and (client, round) -> the
-    delay policy's action in every round of each closed delay window: "hold", "stale", "accept"
-    under use-stale-accept-any, else "withhold", "absent", then "retrain" or "discard".  An
-    active client with no entry trains fresh."""
+    apply, the departure policy if a client leaves (else None), and (client, round) -> the delay
+    action at each closed delay window's two ends: "hold" then "accept" under use-stale-accept-any,
+    else "withhold" then "retrain" or "discard".  In between, the client is stale after a hold and
+    absent after a withhold; an active client with no entry and no ``held_back`` item trains fresh."""
 
     joins: dict[int, list[IntermittencyEvent]] = field(default_factory=dict)
     leaves: dict[int, list[IntermittencyEvent]] = field(default_factory=dict)
@@ -360,10 +360,10 @@ def validate_plan(plan: SimPlan) -> Timeline:
 
     known = set(ids)
     active = set(ids)
-    joins, leaves, phases = {}, {}, {}
-    # A delay window's actions: its first round, the rounds between, its resume round.
-    hold, wait, back = ("hold", "stale", "accept") if plan.policy.delay == USE_STALE else (
-        "withhold", "absent", "retrain" if plan.policy.delay_resume_same_round else "discard")
+    joins, leaves, phases, resumes = {}, {}, {}, {}  # resumes: client -> its last window's end
+    # A delay window's actions at its first round and at its resume round.
+    hold, back = ("hold", "accept") if plan.policy.delay == USE_STALE else (
+        "withhold", "retrain" if plan.policy.delay_resume_same_round else "discard")
     by_round: dict[int, list[IntermittencyEvent]] = {}
     for ev in plan.events:
         by_round.setdefault(ev.round_index, []).append(ev)
@@ -383,7 +383,7 @@ def validate_plan(plan: SimPlan) -> Timeline:
             touched.add(cid)
             # Delay windows are closed [start, resume]: no other event may
             # touch the client until its comeback round has played out.
-            in_delay = (cid, r) in phases
+            in_delay = r <= resumes.get(cid, 0)
             if ev.kind == JOIN:
                 if cid in known:
                     errors.append(f"round {r}: join re-uses client id {cid}")
@@ -413,15 +413,18 @@ def validate_plan(plan: SimPlan) -> Timeline:
                         f"after the last round {plan.n_rounds}"
                     )
                 else:
-                    phases[(cid, r)] = hold
-                    phases.update(((cid, m), wait) for m in range(r + 1, resume))
-                    phases[(cid, resume)] = back
-    # A vector numpy cannot allocate fails here, before any command runs.  Only 32 MiB (2**22
-    # doubles) or more is tried: glibc maps such a block on its own, so the heap stays put, and no
-    # smaller one reaches numpy's size limit.
-    if plan.model.param_count >= 2**22:
+                    phases[(cid, r)], phases[(cid, resume)], resumes[cid] = hold, back, resume
+    # A block numpy cannot allocate fails here, before any command runs: the parameter vector or
+    # the largest (rows, hidden_dim) block of a training batch, the global test set or a stack of
+    # client test sets.  Only 32 MiB (2**22 doubles) or more is tried: glibc maps such a block on
+    # its own, so the heap stays put, and no smaller one reaches numpy's size limit.
+    shards = [x.shard for x in (*plan.clients, *plan.events) if x.shard is not None]
+    rows = max(plan.global_test.n, min(_STACK_ROWS, sum(s.test.n for s in shards)),
+               *(max(s.test.n, min(plan.train.batch_size, s.n_train)) for s in shards))
+    block = max(plan.model.param_count, rows * (plan.model.hidden_dim or 0))
+    if block >= 2**22:
         try:
-            np.empty(plan.model.param_count)
+            np.empty(block)
         except (MemoryError, ValueError) as exc:  # ValueError: past numpy's largest dimension
             errors.append(f"model: {exc}")
     if not math.isfinite(clock_bound(plan)):
@@ -437,7 +440,7 @@ def run(plan: SimPlan) -> RunReport:
     # Plain ints for the Integrals just checked: a narrow numpy seed would overflow in seeding.
     plan = replace(plan, seed=int(plan.seed), n_rounds=int(plan.n_rounds))
     states = {c.client_id: ClientState(c.client_id, c.shard, c.epoch_time_s) for c in plan.clients}
-    held_back: dict[int, Update] = {}
+    held_back: dict[int, Update | None] = {}  # clients in flight: a held update, or None
     audit: list[str] = []
     records: list[RoundRecord] = []
     global_params = init_params(plan.model, init_seed(plan.seed))
@@ -499,15 +502,17 @@ def run(plan: SimPlan) -> RunReport:
             participants: list[Participation] = []
             for cid in sorted(states):
                 st = states[cid]
-                action = "stale" if st.status == "departed" else timeline.phases.get((cid, r), "train")
-                if action == "hold":  # trained on this broadcast, delivered when its window closes
-                    held_back[cid] = train(st, r)
-                if action in ("hold", "withhold"):
+                # Between a window's ends a client is stale after a hold, absent after a withhold.
+                away = "train" if cid not in held_back else "absent" if held_back[cid] is None else "stale"
+                action = timeline.phases.get((cid, r), "stale" if st.status == "departed" else away)
+                if action in ("hold", "withhold"):  # a held update is delivered when its window closes
+                    held_back[cid] = train(st, r) if action == "hold" else None
                     audit.append(f"round {r} delay client={cid} update held back")
                 elif action == "accept":
                     st.last_update = held_back.pop(cid)
                     audit.append(f"round {r} late-delivery client={cid} accepted")
                 elif action in ("retrain", "discard"):  # an excluded late update is never computed
+                    del held_back[cid]
                     audit.append(f"round {r} late-delivery client={cid} discarded")
 
                 # Train fresh now, serve the last delivered update, or send nothing.

@@ -829,25 +829,64 @@ def test_cli_sweep_refuses_a_client_count_its_data_cannot_serve(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
-def test_cli_sweep_refuses_a_huge_client_count_before_building_its_client_list(tmp_path):
-    # 10**8 client entries take gigabytes; a child process with a 1 GiB address space must
-    # refuse the value before it builds them.
-    cfg = _base_cfg()
-    cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}, {"id": 1, "epoch_time_s": 2.0}]
+def _main_in_1_gib(*argv):
+    """``fedsim.cli.main(argv)`` in a child process whose address space is capped at 1 GiB."""
     limited = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
                "from fedsim.cli import main; sys.exit(main())")
     src = str(Path(fedsim.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", limited, "sweep", "--config", _write(tmp_path, cfg),
-         "--out", str(tmp_path / "o"), "--variable", "client-count", "--values", "100000000"],
-        capture_output=True, text=True, timeout=60,
+    return subprocess.run(
+        [sys.executable, "-c", limited, *argv], capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
     )
-    assert proc.returncode == 3
-    assert proc.stderr.splitlines() == [
-        "validation error: client-count=100000000: data.source.n_per_class: 80 rows cannot serve "
-        "100000000 clients"
-    ]
+
+
+def test_cli_sweep_refuses_a_huge_client_count_before_building_its_client_list(tmp_path):
+    # 10**8 client entries take gigabytes; a child process with a 1 GiB address space must
+    # refuse the value before it builds them, whether the source's rows are counted in the
+    # config or only by reading its CSV file.
+    cfg = _base_cfg()
+    cfg["clients"] = [{"id": 0, "epoch_time_s": 2.0}, {"id": 1, "epoch_time_s": 2.0}]
+    from_csv = deep_merge(cfg, {})
+    from_csv["data"]["source"] = {"type": "csv", "path": "master.csv"}
+    write_dataset_csv(make_synthetic([[-2, -2], [2, 2]], 1.0, (40, 40), seed=9),
+                      tmp_path / "master.csv")
+    for config, key in ((cfg, "n_per_class"), (from_csv, "path")):
+        proc = _main_in_1_gib(
+            "sweep", "--config", _write(tmp_path, config), "--out", str(tmp_path / "o"),
+            "--variable", "client-count", "--values", "100000000")
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [
+            f"validation error: client-count=100000000: data.source.{key}: 80 rows cannot serve "
+            "100000000 clients"
+        ]
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_a_model_whose_round_blocks_cannot_be_allocated(tmp_path):
+    # The parameter vector (10.5M doubles) fits in 1 GiB, but one hidden-layer block of the
+    # 1,000-row global test set or a 1,024-row client test stack (16 GiB) does not.
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    cfg = json.loads((configs / "three_clients.json").read_text())
+    cfg["model"] = {"kind": "mlp-1hidden", "input_dim": 3, "hidden_dim": 2**21}
+    for command in ("validate", "run"):
+        proc = _main_in_1_gib(command, "--config", _write(tmp_path, cfg),
+                              "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("validation error: model: Unable to allocate 16.0 GiB")
+        assert not (tmp_path / "o").exists()
+
+
+def test_cli_validate_stays_small_for_a_long_delay_window(tmp_path):
+    # A window's length costs validate nothing: it records the window's two ends.
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    cfg = json.loads((configs / "delayed_update.json").read_text())
+    cfg["rounds"] = 10**12
+    cfg["events"] = [{"kind": "delay", "round": 1, "client": 1, "resume_round": 10**12 - 1}]
+    proc = _main_in_1_gib("validate", "--config", _write(tmp_path, cfg))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[:4] == [
+        "config ok", "clients: 3", "parameter_count: 4", f"rounds: {10**12} epochs_per_round: 1"]
 
 
 def test_cli_sweep_client_count_needs_uniform_times(tmp_path):

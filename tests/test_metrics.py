@@ -1,6 +1,7 @@
 import csv
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -322,7 +323,8 @@ def test_stacked_evaluation_is_loss_accuracy_bit_for_bit(spec, sizes, scale, max
     params = ParameterSet(rng.standard_normal(spec.param_count) * scale, spec.layer_shapes)
     datasets = [Dataset(rng.standard_normal((n, 8)), rng.integers(0, 2, n), np.arange(n))
                 for n in sizes]
-    stacked = _stacked_loss_accuracy(spec, params, datasets, max_rows)
+    with mock.patch.object(fedsim.metrics, "_STACK_ROWS", max_rows):
+        stacked = _stacked_loss_accuracy(spec, params, datasets)
     alone = [loss_accuracy(spec, params, ds) for ds in datasets]
     assert [(loss.hex(), acc.hex()) for loss, acc in stacked] == [
         (loss.hex(), acc.hex()) for loss, acc in alone]

@@ -586,20 +586,18 @@ def test_validate_plan_compiles_the_timeline():
         IntermittencyEvent.join(4, 9, joiner, 2.0),
         IntermittencyEvent.delay(6, 9, 7),
     )
-    windows = {  # a delay window's first round, rounds between, resume round
-        ("use-stale-accept-any", True): ("hold", "stale", "accept"),
-        ("use-stale-accept-any", False): ("hold", "stale", "accept"),
-        ("exclude-until-current", True): ("withhold", "absent", "retrain"),
-        ("exclude-until-current", False): ("withhold", "absent", "discard"),
+    windows = {  # a delay window's first round and resume round; run fills the rounds between
+        ("use-stale-accept-any", True): ("hold", "accept"),
+        ("use-stale-accept-any", False): ("hold", "accept"),
+        ("exclude-until-current", True): ("withhold", "retrain"),
+        ("exclude-until-current", False): ("withhold", "discard"),
     }
     for policy in POLICIES:
         timeline = validate_plan(_plan(events=events, policy=policy))
         assert timeline.joins == {4: [events[2]]}
         assert timeline.leaves == {4: [events[0]]}
-        hold, wait, back = windows[policy.delay, policy.delay_resume_same_round]
-        assert timeline.phases == {
-            (1, 2): hold, (1, 3): wait, (1, 4): wait, (1, 5): back, (9, 6): hold, (9, 7): back,
-        }
+        hold, back = windows[policy.delay, policy.delay_resume_same_round]
+        assert timeline.phases == {(1, 2): hold, (1, 5): back, (9, 6): hold, (9, 7): back}
         assert timeline.departure == policy.departure
     assert validate_plan(_plan(events=events[1:])).departure is None  # no client leaves
 

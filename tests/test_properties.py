@@ -137,12 +137,13 @@ def _rounds_and_updates(plan):
     return rounds, seen[: len(rounds)], audit
 
 
-# The action each delay phase resolves to, per (delay policy, delay_resume_same_round).
+# The action a delay window's two ends resolve to, per (delay policy, delay_resume_same_round);
+# the rounds between them have no entry.
 PHASE_ACTIONS = {
-    ("use-stale-accept-any", True): {"start": "hold", "mid": "stale", "resume": "accept"},
-    ("use-stale-accept-any", False): {"start": "hold", "mid": "stale", "resume": "accept"},
-    ("exclude-until-current", True): {"start": "withhold", "mid": "absent", "resume": "retrain"},
-    ("exclude-until-current", False): {"start": "withhold", "mid": "absent", "resume": "discard"},
+    ("use-stale-accept-any", True): {"start": "hold", "resume": "accept"},
+    ("use-stale-accept-any", False): {"start": "hold", "resume": "accept"},
+    ("exclude-until-current", True): {"start": "withhold", "resume": "retrain"},
+    ("exclude-until-current", False): {"start": "withhold", "resume": "discard"},
 }
 
 
@@ -158,9 +159,10 @@ def test_timeline_phases_match_a_reference_scan(plan):
             (cid, r): actions[phase]
             for cid in ids
             for r in range(1, plan.n_rounds + 1)
-            if (phase := delay_phase_reference(plan.events, cid, r)) is not None
+            if (phase := delay_phase_reference(plan.events, cid, r)) in actions
         }
         assert timeline.phases == expected
+        assert len(timeline.phases) == 2 * sum(ev.kind == "delay" for ev in plan.events)
         assert timeline.departure == (policy.departure if leaves else None)
         for kind, by_round in (("join", timeline.joins), ("leave", timeline.leaves)):
             for r in range(1, plan.n_rounds + 1):
