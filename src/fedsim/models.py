@@ -42,6 +42,10 @@ PROB_EPS = 1e-12
 _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
 
+# forward, train_local and a checked loss_and_grad run under this once per call, not per SGD
+# step: an overflow ends in a finiteness check's ValueError or a NaN, never in a numpy warning.
+_QUIET = {"over": "ignore", "invalid": "ignore"}
+
 LayerShapes = tuple[tuple[str, tuple[int, ...]], ...]
 _Out = tuple[np.ndarray, np.ndarray | None]
 
@@ -365,7 +369,8 @@ def forward(spec: ModelSpec, params: ParameterSet, features: np.ndarray) -> np.n
     """Per-row probability of the positive class, strictly inside (0, 1)."""
     X = _check_features(spec, features)
     _check_params(spec, params)
-    return _probs(spec, params.values, X)
+    with np.errstate(**_QUIET):
+        return _probs(spec, params.values, X)
 
 
 def _bce(p: np.ndarray, y: np.ndarray, axis=None):
@@ -402,8 +407,9 @@ def loss_and_grad(
         raise ValueError("features and labels must agree in length")
     if y.size == 0:
         raise ValueError("empty batch")
-    p, grad = _KERNELS[spec.kind](spec, params.values, X, y, _workspace(spec, y.size))
-    return bce_loss(p, y), _adopt(grad, params.shapes)
+    with np.errstate(**_QUIET):
+        p, grad = _KERNELS[spec.kind](spec, params.values, X, y, _workspace(spec, y.size))
+        return bce_loss(p, y), _adopt(grad, params.shapes)
 
 
 def train_local(
@@ -433,13 +439,14 @@ def train_local(
     values, work = params.values.copy(), _workspace(spec, min(bs, n))
     labels = dataset.labels.astype(np.float64)
     X, y = np.empty_like(dataset.features), np.empty_like(labels)
-    for epoch in range(cfg.epochs):
-        order = (rng_from(cfg.seed, epoch) if _rngs is None else _rngs[epoch]).permutation(n)
-        # mode="clip" writes straight into ``out``; the default buffers. ``order`` is in range.
-        np.take(dataset.features, order, axis=0, out=X, mode="clip")
-        np.take(labels, order, out=y, mode="clip")
-        for start in range(0, n, bs):
-            batch = slice(start, start + bs)
-            grad = loss_and_grad(spec, values, X[batch], y[batch], _work=work)
-            values -= np.multiply(lr, grad, out=grad)
+    with np.errstate(**_QUIET):
+        for epoch in range(cfg.epochs):
+            order = (rng_from(cfg.seed, epoch) if _rngs is None else _rngs[epoch]).permutation(n)
+            # mode="clip" writes straight into ``out``; the default buffers. ``order`` is in range.
+            np.take(dataset.features, order, axis=0, out=X, mode="clip")
+            np.take(labels, order, out=y, mode="clip")
+            for start in range(0, n, bs):
+                batch = slice(start, start + bs)
+                grad = loss_and_grad(spec, values, X[batch], y[batch], _work=work)
+                values -= np.multiply(lr, grad, out=grad)
     return _adopt(values, params.shapes), cfg.epochs

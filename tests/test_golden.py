@@ -2,14 +2,25 @@
 
 ``DEMO_GOLDEN`` holds the digest of every file that ``fedsim run`` on each
 ``demos/configs/*.json`` as shipped and the three README ``sweep`` commands
-write, keyed by its path under the output root (numpy 2.x, x86-64).  A
+write, keyed by its path under the output root (numpy 2.4.6, x86-64).  A
 change that moves any of them changes the simulator's numerics or its
 output format and has to say so.
+
+The bits also depend on the CPU class: numpy's float64 ``exp`` loop and
+OpenBLAS's core each move them, so the digests are keyed by that pair
+(``cpu_class``).  Two classes are recorded: AVX-512, ``("X86_V4",
+"SkylakeX")``, and AVX2, ``("X86_V3", "Haswell")``, which OpenBLAS's Zen
+core also reports.  The AVX2 set was recorded on an AVX-512 machine under
+``OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES=X86_V4``.  Any other
+class fails the golden test by name; record its set from the same code.
 """
 
+import ctypes
 import hashlib
 import json
 from pathlib import Path
+
+import numpy as np
 
 from fedsim.cli import main
 
@@ -33,10 +44,28 @@ DEMO_COMMANDS = [
     ],
 ]
 
-# Relative path under the output root -> sha256 of the file.
-DEMO_GOLDEN = dict(
-    line.split()
-    for line in """
+
+def cpu_class() -> tuple[str, str]:
+    """(numpy's float64 ``exp`` dispatch target, the core of numpy's bundled OpenBLAS)."""
+    info = np.lib.introspect.opt_func_info(func_name="^exp$", signature="float64")
+    exp = info.get("exp", {}).get("dd", {}).get("current", "unknown")
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*"))
+    if not libs:
+        return exp, "unknown"
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return exp, corename().decode()
+
+
+def _digests(lines: str) -> dict[str, str]:
+    return dict(line.split() for line in lines.strip().splitlines())
+
+
+AVX512 = ("X86_V4", "SkylakeX")
+AVX2 = ("X86_V3", "Haswell")
+
+# CPU class -> relative path under the output root -> sha256 of the file.
+DEMO_GOLDEN = {AVX512: _digests("""
 delayed_update/events.log f1c34fed9b46dc377a9e412d067f5cc5fb7d3a9fadfa08a5467e0f20da89439b
 delayed_update/rounds.csv e99e42239577772b94947ea60fc97b3ca4ad3576cb598effe0f19eca4d35154a
 delayed_update/summary.json 3857049a31f849f5d867f509ee5d937a4d602116fbaccc184f36d174dc411bc4
@@ -81,18 +110,37 @@ three_clients/sweep_N-r/N_r=5/roc_round5.csv 985c2ecd68d5f7d40e5eb99303d25ace8e5
 three_clients/sweep_N-r/N_r=5/rounds.csv 8c298a066e5576fb7e40e8f37b810598b476f5e08b5fac5218d66dd91ffdcda8
 three_clients/sweep_N-r/N_r=5/summary.json e3cf04f777f6826417b4fd92332b9b0ca4f243da278ba537a738676a925686d0
 three_clients/sweep_N-r/comparison.csv d0a382a6c4e626e2e3809ce6431528e1347de21445676543c62f653e768b9e28
-""".strip().splitlines()
-)
+""")}
+# The AVX2 outputs differ in these 14 files; every events.log, ROC file and averages.csv matches.
+DEMO_GOLDEN[AVX2] = {**DEMO_GOLDEN[AVX512], **_digests("""
+delayed_update/rounds.csv 3496224b1dacc99b1aa22b883c8bb28e3a07f816bd7f5866eafd338dee04892a
+delayed_update/sweep_policy/policy=drop-history+exclude-until-current/rounds.csv 09707421149eb6d347c8d2a807c28c8560aaebc392300281043564d37cb22b0e
+delayed_update/sweep_policy/policy=drop-history+use-stale-accept-any/rounds.csv 3496224b1dacc99b1aa22b883c8bb28e3a07f816bd7f5866eafd338dee04892a
+leave_join/rounds.csv 6e13453aad3029d75a28daeccf661d8932d5c258a08dd467b7b07609791601e0
+ten_clients/rounds.csv 6eb3da6720f596ed8e89c96a4992612be0659c0235b16035e56eaa645a3fa7f6
+ten_clients/summary.json dfa1f39e173f13f873ac06d1f26369ed87d5a0924060910c10c8236003bceb8e
+ten_clients/sweep_client-count/client-count=10/rounds.csv 3ffad7f55b8aba4c7b4e4424ea92c29ae3b02d9681be21afb1699236483b3510
+ten_clients/sweep_client-count/client-count=3/rounds.csv 6e3eb4ebe53a9387310dd3e86bbfb1c163316bccb60a12d3bc533eba2e3bd9ca
+three_clients/rounds.csv a041549bc23046384033f6a5c04d9a99f2dcac69c381154a1ae2d3608eaed03b
+three_clients/summary.json 898f2bb988d01124bcae1b9c2c5377347f6aac78de181682bd65e5242c2f3f71
+three_clients/sweep_N-r/N_r=10/rounds.csv e12b769810bca3f545e12491d97f61ca9c4df9f5fcac258077d081babce7749d
+three_clients/sweep_N-r/N_r=5/rounds.csv bc5f79155cb60eb074917ed7e09a7906bae6b20eaac9b7138c32335c82ac9c15
+three_clients/sweep_N-r/N_r=5/summary.json 91020d9c7135df6023bdbe668a39da9ff57698cf13d7fb35b05c4a28496313fd
+three_clients/sweep_N-r/comparison.csv 71c60c46b53a3a4c94ce9f0c82f0d5d3483d16d8d2695f5ff10003eabcb49a89
+""")}
 
 
 def test_every_demo_config_has_golden_hashes():
     stems = [p.stem for p in CONFIG_DIR.glob("*.json")]
     assert stems
-    for stem in stems:
-        assert f"{stem}/rounds.csv" in DEMO_GOLDEN and f"{stem}/events.log" in DEMO_GOLDEN, stem
+    for golden in DEMO_GOLDEN.values():
+        for stem in stems:
+            assert f"{stem}/rounds.csv" in golden and f"{stem}/events.log" in golden, stem
 
 
 def test_every_demo_output_matches_its_golden_hash(tmp_path):
+    cls = cpu_class()
+    assert cls in DEMO_GOLDEN, f"no golden hashes recorded for CPU class {cls}"
     for argv in DEMO_COMMANDS:
         cmd, _, config, *rest = argv
         out = tmp_path / Path(config).stem
@@ -102,16 +150,18 @@ def test_every_demo_output_matches_its_golden_hash(tmp_path):
         for p in sorted(tmp_path.rglob("*"))
         if p.is_file()
     }
-    assert got == DEMO_GOLDEN
+    assert got == DEMO_GOLDEN[cls]
 
 
 def test_bench_copies_match_the_demo_configs_and_digests():
-    # bench/ keeps its own copies of the demo configs and of their digests; either may drift
+    # bench/ keeps its own copies of the demo configs and of their AVX-512 digests; either may
+    # drift.  They are compared as recorded, whatever this machine's CPU class.
     bench_configs = sorted((BENCH_DATA / "configs").glob("*.json"))
     assert bench_configs
     for path in bench_configs:
         assert path.read_bytes() == (CONFIG_DIR / path.name).read_bytes(), path.name
     suite = json.loads((BENCH_DATA / "digests.json").read_text())["cli-suite"]
-    shared = {name: digest for name, digest in suite.items() if name in DEMO_GOLDEN}
+    golden = DEMO_GOLDEN[AVX512]
+    shared = {name: digest for name, digest in suite.items() if name in golden}
     assert len(shared) >= 22
-    assert shared == {name: DEMO_GOLDEN[name] for name in shared}
+    assert shared == {name: golden[name] for name in shared}
