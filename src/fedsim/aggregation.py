@@ -69,7 +69,8 @@ def _aggregate(ordered: list[Update], weights: list[float]) -> AggregateResult:
     stacked *= np.array(weights)[:, None]
     # Down the rows of a C-ordered stack this adds one row at a time in client-id order, as a
     # loop of ``acc += w * v`` would; only a one-column stack, which no model has, sums pairwise.
-    acc = np.add.reduce(stacked, axis=0)
+    with np.errstate(over="ignore"):  # a sum past the largest float is clamped into the envelope
+        acc = np.add.reduce(stacked, axis=0)
     np.clip(acc, low, high, out=acc)
     return AggregateResult(
         # The copy stays: when ``acc`` was allocated before the stack, adopting it left the peak
@@ -103,4 +104,6 @@ def add_uniform_noise(params: ParameterSet, amplitude: float, seed: int, *, _rng
     """
     a = noise_amplitude(amplitude)
     noise = (rng_from(seed) if _rng is None else _rng).uniform(-a, a, size=params.size)
-    return _adopt(params.values + noise, params.shapes)
+    with np.errstate(over="ignore"):  # an overflow fails _adopt's finiteness check
+        noised = params.values + noise
+    return _adopt(noised, params.shapes)

@@ -207,8 +207,8 @@ def _sweep_edit(cfg: dict, variable: str, value, seed: int, base_dir: Path) -> d
     for key in ("counts", "positive_fractions"):
         if key in part and len(part[key]) != value:
             raise ConfigValidationError(f"data.partition.{key}: lists {len(part[key])} clients")
-    key = "n_per_class" if source["type"] == "synthetic" else "path"  # a CSV is read to count
-    rows = sum(source[key]) if key != "path" else _materialize_source(source, base_dir, "data.source").n
+    key = "n_per_class" if source["type"] == "synthetic" else "path"
+    rows = _materialize_source(source, base_dir, "data.source").n  # read, as build_plan reads it
     if value > rows:
         raise ConfigValidationError(f"data.source.{key}: {rows} rows cannot serve {value} clients")
     t = times.pop()

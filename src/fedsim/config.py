@@ -4,8 +4,8 @@ Configs are JSON objects with a strict schema: unknown keys are
 rejected, naming the offending path.  Structural problems (bad JSON,
 unknown or missing keys, wrong types, list elements included) raise
 ConfigParseError; values that are the right shape but make no sense
-(zero rounds, infeasible partitions, bad event scripts) raise
-ConfigValidationError.
+(zero rounds, infeasible partitions, bad event scripts) or that build
+data too large to hold raise ConfigValidationError.
 
 The keys of a section are the keyword arguments of the domain value that
 owns its rules and defaults: ``model`` is a ``ModelSpec``, ``train`` a
@@ -59,7 +59,6 @@ from .orchestrator import (
 )
 from .partition import (
     RANDOM_UNIFORM,
-    InfeasiblePartition,
     PartitionPlan,
     make_synthetic,
     partition,
@@ -156,10 +155,13 @@ def _kind(obj: Any, path: str, key: str, kinds: tuple) -> str:
 
 
 def _build(path: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, its ValueError re-raised naming the config path."""
+    """``make(*args, **kwargs)``; a ValueError, OSError or MemoryError (a value too large to
+    hold) is re-raised naming the config path, a ConfigValidationError as it is."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except ConfigValidationError:
+        raise
+    except (ValueError, OSError, MemoryError) as exc:
         raise ConfigValidationError(f"{path}: {exc}") from exc
 
 
@@ -371,16 +373,13 @@ def _synthetic_args(obj: dict) -> tuple:
 
 
 def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
-    try:
-        if obj["type"] == "synthetic":
-            return make_synthetic(*_synthetic_args(obj))
-        return read_dataset_csv((base_dir / obj["path"]).resolve())
-    except (OSError, ValueError, MemoryError) as exc:  # MemoryError: a source too large to hold
-        where = f"{path}.path" if obj["type"] == "csv" else path
-        raise ConfigValidationError(f"{where}: {exc}") from exc
+    if obj["type"] == "synthetic":
+        return _build(path, make_synthetic, *_synthetic_args(obj))
+    file = base_dir / obj["path"]
+    try:  # resolving a path can fail too, so it is part of the build step
+        return _build(f"{path}.path", lambda: read_dataset_csv(file.resolve()))
     except csv.Error as exc:  # a field past csv.field_size_limit(); csv names no file
-        file = (base_dir / obj["path"]).resolve()
-        raise ConfigValidationError(f"{path}.path: {file}: {exc}") from exc
+        raise ConfigValidationError(f"{path}.path: {file.resolve()}: {exc}") from exc
 
 
 def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -401,14 +400,11 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
     master = _materialize_source(cfg["data"]["source"], base_dir, "data.source")
     gt_cfg = cfg["data"]["global_test"]
     if gt_cfg["type"] == "holdout":
-        master, global_test = _holdout_split(master, gt_cfg["fraction"], gt_cfg["seed"])
+        master, global_test = _build("data.global_test", _holdout_split, master, gt_cfg["fraction"],
+                                     gt_cfg["seed"])
     else:
         global_test = _materialize_source(gt_cfg, base_dir, "data.global_test")
-
-    try:
-        shards = partition(master, values["partition"])
-    except InfeasiblePartition as exc:
-        raise ConfigValidationError(f"data.partition: {exc}") from exc
+    shards = _build("data.partition", partition, master, values["partition"])
 
     clients = tuple(
         ClientSetup(
@@ -423,7 +419,7 @@ def build_plan(cfg: dict, base_dir: str | Path = ".") -> RunConfig:
     for i, (ev, value) in enumerate(zip(cfg["events"], values["events"])):
         if ev["kind"] == JOIN:
             data = _materialize_source(ev["data"]["source"], base_dir, f"events[{i}].data.source")
-            shard = relabel_shard(partition(data, value)[0], ev["client"])
+            shard = relabel_shard(_build(f"events[{i}].data", partition, data, value)[0], ev["client"])
             value = IntermittencyEvent.join(ev["round"], ev["client"], shard, ev["epoch_time_s"])
         events.append(value)
 

@@ -1,5 +1,6 @@
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -220,3 +221,25 @@ def test_with_values_copies_and_results_are_read_only():
         assert not params.values.flags.writeable
         with pytest.raises(ValueError):
             params.values[0] = 0.0
+
+
+def test_noise_that_overflows_raises_its_error_without_a_numpy_warning():
+    # The sum of a coordinate near the largest float and its noise once warned "overflow
+    # encountered in add" before the documented ValueError.
+    base = _pset([1.7e308, -1.7e308] * 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="parameter values must be finite"):
+            add_uniform_noise(base, 8e307, seed=1)
+
+
+@pytest.mark.parametrize("aggregate", [weighted_fedavg, plain_average])
+def test_a_sum_past_the_largest_float_is_clamped_without_a_numpy_warning(aggregate):
+    # Eleven weighted copies of the largest float sum past it before the clamp brings the
+    # coordinate back into the envelope; the sum once warned "overflow encountered in reduce".
+    top = sys.float_info.max
+    updates = [_update(i, [top, -top, 0.999 * top], 1) for i in range(11)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        agg = aggregate(updates)
+    assert agg.params.values[:2].tolist() == [top, -top]

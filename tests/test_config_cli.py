@@ -862,6 +862,46 @@ def test_cli_sweep_refuses_a_huge_client_count_before_building_its_client_list(t
         assert not (tmp_path / "o").exists()
 
 
+def _ten_clients_on_a_larger_source(n_per_class, **edits):
+    configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
+    cfg = json.loads((configs / "ten_clients.json").read_text())
+    del cfg["sweeps"]
+    cfg["rounds"] = 1
+    cfg["data"]["source"]["n_per_class"] = n_per_class
+    cfg["data"].update(edits)
+    return cfg
+
+
+def _ten_uniform_clients_on_a_source_too_large_to_allocate():
+    cfg = _ten_clients_on_a_larger_source([10**12, 10**12])
+    for client in cfg["clients"]:
+        client["epoch_time_s"] = 20.0
+    return cfg
+
+
+@pytest.mark.parametrize("config, argv, expected", [
+    # The 12M-row source fits in 1 GiB, but its partition's index vectors do not.
+    (_ten_clients_on_a_larger_source([6_000_000, 6_000_000]), ["validate"],
+     "validation error: data.partition: Unable to allocate "),
+    # Nor do the 6M training rows a holdout split cuts from it.
+    (_ten_clients_on_a_larger_source(
+        [6_000_000, 6_000_000], global_test={"type": "holdout", "fraction": 0.5, "seed": 3}),
+     ["validate"], "validation error: data.global_test: Unable to allocate "),
+    # The resize reads the source to count its rows, so 2e12 rows are refused before
+    # 10**8 client entries are built.
+    (_ten_uniform_clients_on_a_source_too_large_to_allocate(),
+     ["sweep", "--variable", "client-count", "--values", "100000000"],
+     "validation error: client-count=100000000: data.source: Unable to allocate "),
+], ids=["partition", "holdout-split", "resized-sweep"])
+def test_cli_refuses_a_build_step_that_cannot_be_allocated(tmp_path, config, argv, expected):
+    proc = _main_in_1_gib(argv[0], "--config", _write(tmp_path, config),
+                          "--out", str(tmp_path / "o"), *argv[1:])
+    assert proc.returncode == 3
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(expected)
+    assert not (tmp_path / "o").exists()
+
+
 def test_cli_refuses_a_model_whose_round_blocks_cannot_be_allocated(tmp_path):
     # The parameter vector (10.5M doubles) fits in 1 GiB, but one hidden-layer block of the
     # 1,000-row global test set or a 1,024-row client test stack (16 GiB) does not.
