@@ -227,8 +227,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for index, value in enumerate(values):
             name = f"{args.variable}={value}"
             cfg = deep_merge(base, overrides.get(str(value), {}))  # validate_config keyed them so
-            edit = _sweep_edit(cfg, args.variable, value, sweep_seed(base["seed"], index), base_dir)
-            built.append(build_plan(validate_config(deep_merge(cfg, edit)), base_dir))
+            seed = sweep_seed(base["seed"], index)
+            try:  # build_plan names any data array it cannot allocate; a client list is left
+                built.append(build_plan(validate_config(deep_merge(
+                    cfg, _sweep_edit(cfg, args.variable, value, seed, base_dir))), base_dir))
+            except MemoryError as exc:
+                if args.variable != "client-count":
+                    raise
+                raise ConfigValidationError(  # dropping its frames frees the partial client lists
+                    f"clients: {value} entries do not fit in memory") from exc.with_traceback(None)
         # One run per trajectory, keyed by the config but its policy and the policy as the build
         # compiled it into the Timeline; a run is kept only while a later value shares its key.
         keys = [(json.dumps({**rc.echo, "policy": None}, sort_keys=True),

@@ -38,6 +38,7 @@ import copy
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -162,7 +163,7 @@ def _build(path: str, make, *args, **kwargs):
     except ConfigValidationError:
         raise
     except (ValueError, OSError, MemoryError) as exc:
-        raise ConfigValidationError(f"{path}: {exc}") from exc
+        raise ConfigValidationError(f"{path}: {str(exc) or type(exc).__name__}") from exc
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -375,11 +376,12 @@ def _synthetic_args(obj: dict) -> tuple:
 def _materialize_source(obj: dict, base_dir: Path, path: str) -> Dataset:
     if obj["type"] == "synthetic":
         return _build(path, make_synthetic, *_synthetic_args(obj))
+    # realpath: before Python 3.13, Path.resolve raises a RuntimeError on a symlink loop.
     file = base_dir / obj["path"]
     try:  # resolving a path can fail too, so it is part of the build step
-        return _build(f"{path}.path", lambda: read_dataset_csv(file.resolve()))
+        return _build(f"{path}.path", lambda: read_dataset_csv(os.path.realpath(file)))
     except csv.Error as exc:  # a field past csv.field_size_limit(); csv names no file
-        raise ConfigValidationError(f"{path}.path: {file.resolve()}: {exc}") from exc
+        raise ConfigValidationError(f"{path}.path: {os.path.realpath(file)}: {exc}") from exc
 
 
 def _holdout_split(master: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -33,8 +33,9 @@ follow one trajectory; it records a delay window at rounds r and s only.
 Local training that turns non-finite raises ``DivergenceError``, which
 carries the completed rounds and the audit log, as ``PolicyStarvationError``
 does; noise that turns the parameters non-finite raises a plain
-``RunAborted`` that names the round and the noise placement.  Each ends the
-audit log with an ``abort`` line that gives the round and the reason.
+``RunAborted`` that names the round and the noise placement.  The audit log
+(events.log) is read off the Timeline and the round records; a stopped round
+logs its joins, the delay lines written before the stop and an ``abort`` line.
 
 The clock charges each round ``epochs`` times the slowest client that
 trained fresh for that round's aggregation; clients whose updates are
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -334,6 +335,37 @@ class Timeline:
     departure: str | None = None
 
 
+def _participants_field(rec: RoundRecord, sep: str) -> str:
+    return sep.join(f"{p.client_id}:{p.label()}" for p in rec.participants)
+
+
+def _events_log(timeline: Timeline, records: list[RoundRecord], stop: tuple = ()) -> Iterator[str]:
+    """events.log, read off the Timeline and the completed rounds.  A ``stop`` (round, client or
+    inf, reason) ends it with that round's joins, the delay lines written before the stop (all for
+    inf; else those of lower ids, and the client's own discard if it retrains) and an abort line."""
+    delays: dict[int, list[tuple[int, str]]] = {}  # round -> (client, delay action), by client id
+    for (cid, r), action in sorted(timeline.phases.items()):
+        delays.setdefault(r, []).append((cid, action))
+    rounds = [(rec.round_index, math.inf, rec) for rec in records]
+    for r, upto, rec in rounds + [stop] if stop else rounds:
+        yield from (f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}"
+                    for ev in timeline.joins.get(r, ()))
+        yield from (f"round {r} delay client={c} update held back" if a in ("hold", "withhold")
+                    else f"round {r} late-delivery client={c} accepted" if a == "accept"
+                    else f"round {r} late-delivery client={c} discarded"
+                    for c, a in delays.get(r, ()) if c < upto or (c == upto and a == "retrain"))
+        if isinstance(rec, str):  # the reason the run stopped
+            where = {"divergence": f" client={upto}",
+                     "noise": f" placement={'client' if upto < math.inf else 'server'}"}
+            yield f"round {r} abort reason={rec}{where.get(rec, '')}"
+        else:
+            yield (f"round {r} aggregate participants={_participants_field(rec, ',')} weights="
+                   + ",".join(f"{cid}:{w!r}" for cid, w in rec.aggregate.weights_used)
+                   + f" total_n={rec.aggregate.total_n}")
+            yield from (f"round {r} leave client={ev.client_id} policy={timeline.departure}"
+                        for ev in timeline.leaves.get(r, ()))
+
+
 def validate_plan(plan: SimPlan) -> Timeline:
     """Check the plan and compile its event script, round by round, into a Timeline."""
     errors: list[str] = []
@@ -441,7 +473,6 @@ def run(plan: SimPlan) -> RunReport:
     plan = replace(plan, seed=int(plan.seed), n_rounds=int(plan.n_rounds))
     states = {c.client_id: ClientState(c.client_id, c.shard, c.epoch_time_s) for c in plan.clients}
     held_back: dict[int, Update | None] = {}  # clients in flight: a held update, or None
-    audit: list[str] = []
     records: list[RoundRecord] = []
     global_params = init_params(plan.model, init_seed(plan.seed))
 
@@ -466,13 +497,13 @@ def run(plan: SimPlan) -> RunReport:
         noise = _batch_states(plan.seed, _CLIENT_NOISE, *key)[:, 0] if client_noise else None
         return last, first, seeds, orders, noise, _batch_states(noise) if client_noise else None
 
-    def noised(params: ParameterSet, seed: int, r: int, rng=None) -> ParameterSet:
+    def noised(params: ParameterSet, seed: int, r: int, rng=None, client=math.inf) -> ParameterSet:
         try:
             return add_uniform_noise(params, plan.noise.amplitude, seed, _rng=rng)
         except ValueError as exc:  # the amplitude is checked, so only a non-finite result
             message = f"round {r}: {plan.noise.placement} noise produced non-finite parameters"
-            audit.append(f"round {r} abort reason=noise placement={plan.noise.placement}")
-            raise RunAborted(message, r, records, audit) from exc
+            raise RunAborted(message, r, records,
+                             list(_events_log(timeline, records, (r, client, "noise")))) from exc
 
     def train(st: ClientState, r: int) -> Update:
         nonlocal block
@@ -486,10 +517,11 @@ def run(plan: SimPlan) -> RunReport:
             rngs = None if orders is None else [_generator(words) for words in orders[k]]
             params, _ = train_local(plan.model, global_params, st.shard.train, cfg, _rngs=rngs)
         except ValueError as exc:  # after validation, only a non-finite result
-            audit.append(f"round {r} abort reason=divergence client={st.client_id}")
-            raise DivergenceError(st.client_id, r, records, audit) from exc
+            log = list(_events_log(timeline, records, (r, st.client_id, "divergence")))
+            raise DivergenceError(st.client_id, r, records, log) from exc
         if client_noise:
-            params = noised(params, int(noise_seeds[k]), r, _generator(noise_states[k]))
+            rng = _generator(noise_states[k])
+            params = noised(params, int(noise_seeds[k]), r, rng, st.client_id)
         return Update(st.client_id, params, st.shard.n_train, r)
 
     # Overflow ends in the finiteness checks' RunAborted, never in a numpy warning.
@@ -497,7 +529,6 @@ def run(plan: SimPlan) -> RunReport:
         for r in range(1, plan.n_rounds + 1):
             for ev in timeline.joins.get(r, ()):
                 states[ev.client_id] = ClientState(ev.client_id, ev.shard, ev.epoch_time_s)
-                audit.append(f"round {r} join client={ev.client_id} n_train={ev.shard.n_train}")
 
             participants: list[Participation] = []
             for cid in sorted(states):
@@ -507,13 +538,10 @@ def run(plan: SimPlan) -> RunReport:
                 action = timeline.phases.get((cid, r), "stale" if st.status == "departed" else away)
                 if action in ("hold", "withhold"):  # a held update is delivered when its window closes
                     held_back[cid] = train(st, r) if action == "hold" else None
-                    audit.append(f"round {r} delay client={cid} update held back")
                 elif action == "accept":
                     st.last_update = held_back.pop(cid)
-                    audit.append(f"round {r} late-delivery client={cid} accepted")
                 elif action in ("retrain", "discard"):  # an excluded late update is never computed
                     del held_back[cid]
-                    audit.append(f"round {r} late-delivery client={cid} discarded")
 
                 # Train fresh now, serve the last delivered update, or send nothing.
                 if action in ("train", "retrain"):
@@ -523,8 +551,8 @@ def run(plan: SimPlan) -> RunReport:
                     participants.append(Participation(cid, False, r - st.last_update.produced_round))
 
             if not participants:
-                audit.append(f"round {r} abort reason=starvation")
-                raise PolicyStarvationError(r, records, audit)
+                log = list(_events_log(timeline, records, (r, math.inf, "starvation")))
+                raise PolicyStarvationError(r, records, log)
 
             # Each participant's update is its last one: trained above if fresh, else served.
             aggregate = weighted_fedavg if plan.aggregator == "weighted" else plain_average
@@ -532,13 +560,6 @@ def run(plan: SimPlan) -> RunReport:
             global_params = agg.params
             if plan.noise is not None and plan.noise.placement == "server":
                 global_params = noised(global_params, derive_seed(plan.seed, _SERVER_NOISE, r), r)
-            audit.append(
-                f"round {r} aggregate participants="
-                + ",".join(f"{p.client_id}:{p.label()}" for p in participants)
-                + " weights="
-                + ",".join(f"{cid}:{w!r}" for cid, w in agg.weights_used)
-                + f" total_n={agg.total_n}"
-            )
 
             global_metrics = evaluate(plan.model, global_params, plan.global_test)
 
@@ -547,7 +568,6 @@ def run(plan: SimPlan) -> RunReport:
                 st.status = "departed"
                 if timeline.departure == DROP_HISTORY:
                     st.last_update = None
-                audit.append(f"round {r} leave client={ev.client_id} policy={timeline.departure}")
 
             tested = [states[cid] for cid in sorted(states)
                       if states[cid].status == "active" and states[cid].shard.test.n]
@@ -575,7 +595,7 @@ def run(plan: SimPlan) -> RunReport:
         rounds=records,
         total_sim_time_s=math.fsum(rec.sim_time_s for rec in records),
         final_params=global_params,
-        audit_log=audit,
+        audit_log=list(_events_log(timeline, records)),
     )
     report.summary = summarize(report)
     return report

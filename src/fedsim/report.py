@@ -19,7 +19,7 @@ from typing import Iterable
 
 # bench/spans.py traces fedsim.report.forward and fedsim.report.roc_auc.
 from .metrics import RunSummary, forward, roc_auc  # noqa: F401
-from .orchestrator import RoundRecord, RunReport, SimPlan, static_sim_time
+from .orchestrator import RoundRecord, RunReport, SimPlan, _participants_field, static_sim_time
 
 ROUNDS_CSV_HEADER = ["round", "sim_time_s", "participants", "loss", "accuracy", "auc",
                      "client_metrics"]
@@ -40,17 +40,13 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
     return path
 
 
-def _participants_field(rec: RoundRecord) -> str:
-    return ";".join(f"{p.client_id}:{p.label()}" for p in rec.participants)
-
-
 def _client_metrics_field(rec: RoundRecord) -> str:
     return ";".join(f"{c.client_id}:{_fmt(c.loss)}:{_fmt(c.accuracy)}" for c in rec.client_metrics)
 
 
 def write_rounds_csv(records: list[RoundRecord], path: Path) -> None:
     rows = (
-        [rec.round_index, _fmt(rec.sim_time_s), _participants_field(rec),
+        [rec.round_index, _fmt(rec.sim_time_s), _participants_field(rec, ";"),
          _fmt(rec.global_metrics.loss), _fmt(rec.global_metrics.accuracy),
          _fmt(rec.global_metrics.auc), _client_metrics_field(rec)]
         for rec in records

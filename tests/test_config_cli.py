@@ -862,6 +862,19 @@ def test_cli_sweep_refuses_a_huge_client_count_before_building_its_client_list(t
         assert not (tmp_path / "o").exists()
 
 
+def test_cli_sweep_refuses_a_client_count_whose_client_list_cannot_be_held(tmp_path):
+    # The 5M-row source fits in 1 GiB and serves 5M clients, but 5M client entries do not fit.
+    cfg = _ten_clients_on_a_larger_source([2_500_000, 2_500_000])
+    for client in cfg["clients"]:
+        client["epoch_time_s"] = 20.0
+    proc = _main_in_1_gib("sweep", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"),
+                          "--variable", "client-count", "--values", "5000000")
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "validation error: client-count=5000000: clients: 5000000 entries do not fit in memory"]
+    assert not (tmp_path / "o").exists()
+
+
 def _ten_clients_on_a_larger_source(n_per_class, **edits):
     configs = Path(__file__).resolve().parent.parent / "demos" / "configs"
     cfg = json.loads((configs / "ten_clients.json").read_text())
@@ -1333,3 +1346,20 @@ def test_cli_noise_that_overflows_exits_5_and_keeps_partial_results(tmp_path, ca
     assert "round 5 aggregate" in events and "round 6 aggregate" not in events
     assert events.endswith(f"round 6 abort reason=noise placement={placement}\n")
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("where", ["data.source", "events[1].data.source"])
+def test_cli_refuses_a_csv_path_that_is_a_symlink_loop(tmp_path, capsys, where):
+    # Before Python 3.13, Path.resolve raises a RuntimeError on a loop; the read must refuse it.
+    demo = Path(__file__).resolve().parent.parent / "demos" / "configs" / "leave_join.json"
+    cfg = json.loads(demo.read_text())
+    source = cfg["data"]["source"] if where == "data.source" else cfg["events"][1]["data"]["source"]
+    source.clear()
+    source.update(type="csv", path="loop.csv")
+    (tmp_path / "loop.csv").symlink_to("loop.csv")
+    code = main(["run", "--config", _write(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 3
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"validation error: {where}.path: ")
+    assert line.endswith(f"{os.path.realpath(tmp_path / 'loop.csv')}'")
+    assert not (tmp_path / "x").exists()

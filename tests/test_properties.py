@@ -54,6 +54,7 @@ from fedsim.report import (
 )
 
 from _oracles import ReferenceAborted, delay_phase_reference, run_reference
+from test_orchestrator import _joiner_shard, _overflowing_plan, _plan
 
 MAX_INITIAL, MAX_JOINS = 3, 2
 SHARDS = partition(
@@ -297,6 +298,69 @@ def test_run_matches_the_whole_run_reference_under_every_policy(plan, model):
         report = run(variant)
         assert _written(report.rounds, report.audit_log) == _rendered(rounds_csv, audit)
         assert report.final_params.values.tobytes() == final.tobytes()
+
+
+def _stopped_plan(case):
+    """A plan whose run stops, built on the overflowing plans of the round-loop tests."""
+    delay, stale = IntermittencyEvent.delay, PolicyConfig(delay="use-stale-accept-any")
+    divergent, server_noise = _overflowing_plan("divergence"), _overflowing_plan("noise")
+    if case == "starvation":  # the one client is away from round 2, back only at round 4
+        return _plan(times=(1.0,), n_rounds=4, events=(delay(2, 0, 3),),
+                     policy=PolicyConfig(delay_resume_same_round=False))
+    if case == "server-noise":
+        joiner = IntermittencyEvent.join(6, 5, _joiner_shard(5), 1.0)
+        return replace(server_noise, events=(joiner, delay(6, 1, 7)))
+    if case == "divergence-at-hold":
+        return replace(divergent, events=(*divergent.events, delay(4, 0, 5), delay(4, 9, 5)),
+                       policy=stale)
+    if case == "divergence-at-retrain":
+        join = replace(divergent.events[0], round_index=2)
+        return replace(divergent, events=(join, delay(3, 9, 4), delay(4, 1, 5)))
+    if case == "divergence-after-a-lower-id-delay":
+        return replace(divergent, events=(*divergent.events, delay(4, 0, 5)))
+    # Client noise of 8.9e307 on two clients overflows in client 0's training in round 6.
+    return replace(server_noise, clients=server_noise.clients[:2], policy=stale,
+                   noise=NoiseConfig(8.9e307, "client"), events=(delay(6, 0, 7),))
+
+
+@pytest.mark.parametrize("case, error, stopped_round", [
+    ("starvation", PolicyStarvationError, [
+        "round 2 delay client=0 update held back", "round 2 abort reason=starvation"]),
+    ("server-noise", RunAborted, [
+        "round 6 join client=5 n_train=12", "round 6 delay client=1 update held back",
+        "round 6 abort reason=noise placement=server"]),
+    ("divergence-at-hold", DivergenceError, [
+        "round 4 delay client=0 update held back", "round 4 abort reason=divergence client=9"]),
+    ("divergence-at-retrain", DivergenceError, [
+        "round 4 delay client=1 update held back", "round 4 late-delivery client=9 discarded",
+        "round 4 abort reason=divergence client=9"]),
+    ("divergence-after-a-lower-id-delay", DivergenceError, [
+        "round 4 delay client=0 update held back", "round 4 abort reason=divergence client=9"]),
+    ("client-noise-at-hold", RunAborted, ["round 6 abort reason=noise placement=client"]),
+])
+def test_a_stopped_run_matches_the_whole_run_reference(case, error, stopped_round):
+    # The audit trail of a stopped round holds its joins, the delay lines logged before the stop
+    # and the abort line; a client that stops the run in a hold's training logs no hold line.
+    plan = _stopped_plan(case)
+    model = plan.model
+
+    def metrics(values, dataset):
+        m = evaluate(model, ParameterSet(values, model.layer_shapes), dataset)
+        return m.loss, m.accuracy, m.auc
+
+    def client(values, dataset):
+        return loss_accuracy(model, ParameterSet(values, model.layer_shapes), dataset)
+
+    with pytest.raises(ReferenceAborted) as ref, np.errstate(over="ignore", invalid="ignore"):
+        run_reference(plan, metrics, client)
+    with pytest.raises(RunAborted) as got:
+        run(plan)
+    exc = got.value
+    assert type(exc) is error is ABORTS[ref.value.reason]
+    assert exc.round_index == ref.value.round_index
+    r = exc.round_index
+    assert [line for line in exc.audit_log if line.startswith(f"round {r} ")] == stopped_round
+    assert _written(exc.completed, exc.audit_log) == _rendered(ref.value.rounds_csv, ref.value.audit)
 
 
 def _trajectory(plan):
